@@ -27,7 +27,6 @@ from .nogo import (
     verify_nogo,
 )
 from .qtm import (
-    DimensionCapError,
     MachineDims,
     MachineError,
     check_global_unitarity,
@@ -261,19 +260,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DocumentError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except DimensionCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MachineError as exc:
+    except (UsageError, FileNotFoundError, MachineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BranchModelError as exc:

@@ -29,6 +29,8 @@ from .qtm import (
     TransitionTable,
     check_global_unitarity,
     check_ozawa_compliance,
+    halting_slots,
+    rule_keys,
 )
 
 __all__ = [
@@ -169,29 +171,21 @@ def _require_compliance(table: TransitionTable) -> None:
         )
 
 
-def compute_Q_vectors(
-    table: TransitionTable, scanned_symbol: int, dims: MachineDims | None = None
-) -> HaltedSectorVectors:
+def compute_Q_vectors(table: TransitionTable, scanned_symbol: int) -> HaltedSectorVectors:
     """Extract the halted-sector vectors for one scanned symbol.
 
     The rules are position-free, so the vectors do not depend on where the
     head sits.  Requires a compliant table: only then is the halted sector
     confined to (head state, move) outcomes.
     """
-    d = table.dims if dims is None else dims
-    if not (0 <= scanned_symbol < d.S):
+    if not (0 <= scanned_symbol < table.dims.S):
         raise MachineError(f"scanned symbol {scanned_symbol} out of range")
     _require_compliance(table)
-    m = d.M
-    qplus = np.zeros((m, m), dtype=complex)
-    qminus = np.zeros((m, m), dtype=complex)
-    for j in range(m):
-        for q2, _s2, move, _h2, amp in table.rules[(j, scanned_symbol, 1)]:
-            if move == 1:
-                qplus[j, q2] = amp
-            else:
-                qminus[j, q2] = amp
-    return HaltedSectorVectors(scanned_symbol=scanned_symbol, qplus=qplus, qminus=qminus)
+    # keys (j, xi, 1) -> outcomes (q', xi, move, 1), as [j, q']
+    halted = table.by_key[:, scanned_symbol, 1, :, scanned_symbol, :, 1]
+    return HaltedSectorVectors(
+        scanned_symbol=scanned_symbol, qplus=halted[..., 1].copy(), qminus=halted[..., 0].copy()
+    )
 
 
 def _first_argmax(matrix: np.ndarray) -> Tuple[int, int]:
@@ -231,31 +225,25 @@ def check_gram_identities(qv: HaltedSectorVectors) -> GramIdentityResiduals:
 
 
 def compute_Phi_vectors(
-    table: TransitionTable, source_state: int, source_symbol: int, dims: MachineDims | None = None
+    table: TransitionTable, source_state: int, source_symbol: int
 ) -> HaltingCandidateVectors:
     """Extract the running-to-halted vectors of key (source_state, source_symbol, 0)."""
-    d = table.dims if dims is None else dims
+    d = table.dims
     if not (0 <= source_state < d.M and 0 <= source_symbol < d.S):
         raise MachineError(
             f"key ({source_state}, {source_symbol}, 0) outside dims {d}"
         )
-    phiplus = np.zeros((d.S, d.M), dtype=complex)
-    phiminus = np.zeros((d.S, d.M), dtype=complex)
-    for q2, s2, move, h2, amp in table.rules[(source_state, source_symbol, 0)]:
-        if h2 != 1:
-            continue
-        if move == 1:
-            phiplus[s2, q2] = amp
-        else:
-            phiminus[s2, q2] = amp
+    # outcomes (q', sigma', move, 1), as [sigma', q']
+    halting = table.by_key[source_state, source_symbol, 0, :, :, :, 1].transpose(1, 0, 2)
     return HaltingCandidateVectors(
-        source_state=source_state, source_symbol=source_symbol, phiplus=phiplus, phiminus=phiminus
+        source_state=source_state,
+        source_symbol=source_symbol,
+        phiplus=halting[..., 1].copy(),
+        phiminus=halting[..., 0].copy(),
     )
 
 
-def verify_nogo(
-    table: TransitionTable, dims: MachineDims | None = None, tol: float = 1e-10
-) -> GramReport:
+def verify_nogo(table: TransitionTable, tol: float = 1e-10) -> GramReport:
     """Check every orthogonality identity and the zero-halting conclusion.
 
     Preconditions (raised as :class:`PreconditionError` naming the check):
@@ -265,18 +253,18 @@ def verify_nogo(
     written symbols; each residual is the worst case, and ``worst`` names
     the first maximizing index tuple in lexicographic order.
     """
-    d = table.dims if dims is None else dims
+    d = table.dims
     if d.N < MIN_TAPE_CELLS:
         raise MachineError(f"no-go verification needs at least {MIN_TAPE_CELLS} tape cells")
     _require_compliance(table)
-    unit = check_global_unitarity(table, d, tol=UNITARITY_TOL)
+    unit = check_global_unitarity(table, tol=UNITARITY_TOL)
     if not unit.passed:
         raise PreconditionError(
             "global_unitarity",
             f"max deviation {unit.max_deviation:.3e} exceeds {UNITARITY_TOL:.0e}",
         )
 
-    halted = {xi: compute_Q_vectors(table, xi, d) for xi in range(d.S)}
+    halted = {xi: compute_Q_vectors(table, xi) for xi in range(d.S)}
 
     res16 = res19 = res22 = 0.0
     worst: Dict[str, tuple] = {}
@@ -293,7 +281,7 @@ def verify_nogo(
             worst["residual_22"] = (xi, *ident.worst["residual_22"])
 
     candidates = {
-        (q0, eta): compute_Phi_vectors(table, q0, eta, d)
+        (q0, eta): compute_Phi_vectors(table, q0, eta)
         for q0 in range(d.M)
         for eta in range(d.S)
     }
@@ -340,17 +328,10 @@ def verify_nogo(
     )
 
 
-def halting_mass_from_table(table: TransitionTable, dims: MachineDims | None = None) -> float:
+def halting_mass_from_table(table: TransitionTable) -> float:
     """Total squared running-to-halted amplitude, summed over all running keys."""
-    d = table.dims if dims is None else dims
-    terms = []
-    for key in sorted(table.rules):
-        if key[2] != 0:
-            continue
-        for _q2, _s2, _move, h2, amp in table.rules[key]:
-            if h2 == 1:
-                terms.append(abs(amp) ** 2)
-    return math.fsum(terms)
+    halting = table.amplitudes[halting_slots(table.dims)].tolist()
+    return math.fsum(abs(amp) ** 2 for amp in halting)
 
 
 def halting_mass_from_matrix(matrix, dims: MachineDims) -> float:
@@ -418,18 +399,6 @@ class _MoveSplit:
         return out
 
 
-def _vector_to_outcomes(vec: np.ndarray, dims: MachineDims, threshold: float = 1e-15):
-    outcomes = []
-    for q2 in range(dims.M):
-        for s2 in range(dims.S):
-            for di, move in ((0, -1), (1, 1)):
-                for h2 in (0, 1):
-                    amp = vec[q2, s2, di, h2]
-                    if abs(amp) > threshold:
-                        outcomes.append((q2, s2, move, h2, complex(amp)))
-    return outcomes
-
-
 def random_compliant_table(dims: MachineDims, rng: np.random.Generator) -> TransitionTable:
     """Draw a random compliant table whose global operator is unitary.
 
@@ -480,8 +449,7 @@ def random_compliant_table(dims: MachineDims, rng: np.random.Generator) -> Trans
     if defect > CONSTRUCTION_TOL:  # pragma: no cover - construction gate
         raise MachineError(f"completion left an orthonormality defect of {defect:.3e}")
 
-    rules = {key: _vector_to_outcomes(vec, dims) for key, vec in key_vectors.items()}
-    return TransitionTable(dims, rules)
+    return TransitionTable.from_tensor(dims, np.stack([key_vectors[k] for k in rule_keys(dims)]))
 
 
 def halting_witness_table(dims: MachineDims) -> TransitionTable:

@@ -5,6 +5,15 @@ halt bit).  Local rules map (q, scanned symbol, halt) to weighted outcomes
 (q', written symbol, move, halt'); the global one-step operator U applies
 the rule at the head position of every configuration in superposition.
 
+A transition table is held as one complex amplitude tensor of shape
+(2*M*S, M, S, 2, 2), indexed (key, q', sigma', move, halt'), with keys in
+sorted (q, sigma, halt) order and the move axis holding -1 before +1,
+plus a boolean ``support`` tensor of the same shape that marks the listed
+outcomes.  The outcome lists, the halted-sector compliance check and the
+global operator are all slices, masks or index arithmetic on that pair;
+the global operator is built without a loop over configurations, and
+:func:`step` keeps the per-configuration loop as its independent check.
+
 The tape is cyclic with N cells, which keeps the configuration space
 finite and makes unitarity of U exactly decidable.  Head moves are +1 or
 -1 only; there is no stay-put option.
@@ -15,7 +24,7 @@ from __future__ import annotations
 import math
 import types
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,6 +53,12 @@ __all__ = [
 #: Largest configuration-space dimension for which the exact global
 #: operator may be materialized.
 DENSE_DIMENSION_CAP = 4096
+
+#: Move axis of a table tensor: index 0 is a left move, index 1 a right move.
+MOVES = (-1, 1)
+
+#: :meth:`TransitionTable.from_tensor` lists only amplitudes of larger magnitude.
+AMPLITUDE_FLOOR = 1e-15
 
 
 class MachineError(ValueError):
@@ -86,6 +101,11 @@ class MachineDims:
         """Configuration-space dimension M * N * S**N * 2."""
         return self.M * self.N * self.S**self.N * 2
 
+    @property
+    def table_shape(self) -> Tuple[int, int, int, int, int]:
+        """Shape (key, q', sigma', move, halt') of a transition-table tensor."""
+        return (2 * self.M * self.S, self.M, self.S, 2, 2)
+
     def require_dense(self) -> int:
         if self.dim > DENSE_DIMENSION_CAP:
             raise DimensionCapError(
@@ -124,152 +144,197 @@ def validate_configuration(config, dims: MachineDims) -> Configuration:
     return Configuration(q, h, tuple(tape), halt)
 
 
-def all_configurations(dims: MachineDims) -> Iterator[Configuration]:
-    """All configurations in lexicographic (q, h, tape, halt) order."""
-    for q in range(dims.M):
-        for h in range(dims.N):
-            for tape_code in range(dims.S**dims.N):
-                tape = _tape_from_code(tape_code, dims)
-                for halt in (0, 1):
-                    yield Configuration(q, h, tape, halt)
+def config_index(config: Configuration, dims: MachineDims) -> int:
+    """Position of ``config`` in the lexicographic enumeration.
 
-
-def _tape_from_code(code: int, dims: MachineDims) -> Tuple[int, ...]:
-    cells = []
-    for _ in range(dims.N):
-        code, sym = divmod(code, dims.S)
-        cells.append(sym)
-    return tuple(reversed(cells))
-
-
-def _tape_code(tape: Sequence[int], dims: MachineDims) -> int:
+    The tape reads as a base-S number whose first cell is the most
+    significant digit.
+    """
+    q, h, tape, halt = config
     code = 0
     for sym in tape:
         code = code * dims.S + sym
-    return code
+    return ((q * dims.N + h) * dims.S**dims.N + code) * 2 + halt
 
 
-def config_index(config: Configuration, dims: MachineDims) -> int:
-    """Position of ``config`` in the lexicographic enumeration."""
-    q, h, tape, halt = config
-    return ((q * dims.N + h) * dims.S**dims.N + _tape_code(tape, dims)) * 2 + halt
+def rule_keys(dims: MachineDims) -> List[RuleKey]:
+    """All rule keys in sorted (q, sigma, halt) order: the key axis of a table."""
+    return [(q, s, hb) for q in range(dims.M) for s in range(dims.S) for hb in (0, 1)]
+
+
+def compliant_slots(dims: MachineDims) -> np.ndarray:
+    """Table-shaped mask of the outcomes the halted-sector constraint allows.
+
+    Running keys may list any outcome; a halted key only outcomes that keep
+    its scanned symbol and the halt bit.
+    """
+    allowed = np.ones(dims.table_shape, dtype=bool)
+    halted = np.arange(1, allowed.shape[0], 2)  # the halt bit is the fastest key index
+    allowed[halted] = False
+    allowed[halted, :, halted // 2 % dims.S, :, 1] = True
+    return allowed
+
+
+def halting_slots(dims: MachineDims) -> np.ndarray:
+    """Table-shaped mask of the running-to-halted outcomes (halt 0 -> halt' 1)."""
+    halting = np.zeros(dims.table_shape, dtype=bool)
+    halting[0::2, ..., 1] = True  # running keys: the halt bit is the fastest key index
+    return halting
 
 
 class TransitionTable:
-    """Local rules (q, sigma, halt) -> weighted outcomes.
+    """Local rules (q, sigma, halt) -> weighted outcomes, held as one tensor.
 
-    Every key in [0,M) x [0,S) x {0,1} must be present; an empty outcome
-    list is representable (it annihilates, which the global unitarity
-    check rejects).  Outcome lists are stored sorted by target tuple and
-    may not contain duplicate (q', sigma', move, halt') targets.
+    ``amplitudes`` (complex) and ``support`` (bool) both have shape
+    ``dims.table_shape``.  ``support`` marks the listed outcomes, so an
+    outcome listed with amplitude zero still counts; off the support every
+    amplitude is zero.  Both arrays are read-only.
+
+    The constructor validates an outcome-list mapping: every key in
+    [0,M) x [0,S) x {0,1} must be present, an empty outcome list is
+    representable (it annihilates, which the global unitarity check
+    rejects), and no list may repeat a (q', sigma', move, halt') target.
+    :meth:`from_tensor` builds a table from an amplitude tensor instead.
     """
 
-    __slots__ = ("dims", "rules")
+    __slots__ = ("dims", "amplitudes", "support")
 
     def __init__(self, dims: MachineDims, rules: Mapping[RuleKey, Sequence[Outcome]]):
-        normalized: Dict[RuleKey, Tuple[Outcome, ...]] = {}
-        expected = {
-            (q, s, hb)
-            for q in range(dims.M)
-            for s in range(dims.S)
-            for hb in (0, 1)
-        }
+        keys = rule_keys(dims)
+        expected = set(keys)
         unknown = set(rules) - expected
         if unknown:
             raise MachineError(f"rule keys outside dims: {sorted(unknown)[:4]}")
         missing = expected - set(rules)
         if missing:
             raise MachineError(f"missing rule keys: {sorted(missing)[:4]}")
-        for key in sorted(rules):
-            outcomes = []
-            targets = set()
+        amplitudes = np.zeros(dims.table_shape, dtype=complex)
+        support = np.zeros(dims.table_shape, dtype=bool)
+        for k, key in enumerate(keys):
             for q2, s2, move, h2, amp in rules[key]:
                 if not (0 <= q2 < dims.M and 0 <= s2 < dims.S):
                     raise MachineError(f"outcome target out of range at key {key}")
-                if move not in (-1, 1):
+                if move not in MOVES:
                     raise MachineError(f"move must be -1 or +1, got {move} at key {key}")
                 if h2 not in (0, 1):
                     raise MachineError(f"halt bit must be 0 or 1, got {h2} at key {key}")
                 a = complex(amp)
                 if not (math.isfinite(a.real) and math.isfinite(a.imag)):
                     raise MachineError(f"non-finite amplitude at key {key}")
-                target = (q2, s2, move, h2)
-                if target in targets:
-                    raise MachineError(f"duplicate outcome {target} at key {key}")
-                targets.add(target)
-                outcomes.append((q2, s2, move, h2, a))
-            normalized[key] = tuple(sorted(outcomes, key=lambda o: o[:4]))
-        self.dims = dims
-        self.rules = types.MappingProxyType(normalized)
+                slot = (k, q2, s2, MOVES.index(move), h2)
+                if support[slot]:
+                    raise MachineError(f"duplicate outcome {(q2, s2, move, h2)} at key {key}")
+                support[slot] = True
+                amplitudes[slot] = a
+        self._freeze(dims, amplitudes, support)
 
-    def outcomes(self, key: RuleKey) -> Tuple[Outcome, ...]:
-        return self.rules[key]
+    @classmethod
+    def from_tensor(cls, dims: MachineDims, amplitudes: np.ndarray) -> "TransitionTable":
+        """The table listing every outcome above :data:`AMPLITUDE_FLOOR` in magnitude."""
+        amplitudes = np.asarray(amplitudes, dtype=complex)
+        if amplitudes.shape != dims.table_shape:
+            raise MachineError(f"tensor shape {amplitudes.shape} is not {dims.table_shape}")
+        bad = np.argwhere(~np.isfinite(amplitudes))
+        if len(bad):
+            raise MachineError(f"non-finite amplitude at key {rule_keys(dims)[bad[0, 0]]}")
+        support = np.abs(amplitudes) > AMPLITUDE_FLOOR
+        table = object.__new__(cls)
+        table._freeze(dims, np.where(support, amplitudes, 0), support)
+        return table
+
+    def _freeze(self, dims: MachineDims, amplitudes: np.ndarray, support: np.ndarray) -> None:
+        amplitudes.flags.writeable = False
+        support.flags.writeable = False
+        self.dims = dims
+        self.amplitudes = amplitudes
+        self.support = support
+
+    @property
+    def by_key(self) -> np.ndarray:
+        """``amplitudes`` with the key axis unfolded: shape (M, S, 2, M, S, 2, 2)."""
+        d = self.dims
+        return self.amplitudes.reshape(d.M, d.S, 2, *d.table_shape[1:])
+
+    @property
+    def rules(self) -> Mapping[RuleKey, Tuple[Outcome, ...]]:
+        """Read-only outcome lists per key, each sorted by (q', sigma', move, halt')."""
+        keys = rule_keys(self.dims)
+        listed: Dict[RuleKey, List[Outcome]] = {key: [] for key in keys}
+        slots = [axis.tolist() for axis in np.nonzero(self.support)]
+        for k, q2, s2, mi, h2, amp in zip(*slots, self.amplitudes[self.support].tolist()):
+            listed[keys[k]].append((q2, s2, MOVES[mi], h2, amp))
+        return types.MappingProxyType({key: tuple(out) for key, out in listed.items()})
 
     def __repr__(self) -> str:
-        n_out = sum(len(v) for v in self.rules.values())
-        return f"TransitionTable(dims={self.dims}, keys={len(self.rules)}, outcomes={n_out})"
+        n_out = int(self.support.sum())
+        return f"TransitionTable(dims={self.dims}, keys={self.support.shape[0]}, outcomes={n_out})"
 
 
-def _resolve_dims(table: TransitionTable, dims: MachineDims | None) -> MachineDims:
-    if dims is None:
-        return table.dims
-    if dims != table.dims:
-        raise MachineError(f"dims {dims} do not match table dims {table.dims}")
-    return dims
-
-
-def step(state: SparseState, table: TransitionTable, dims: MachineDims | None = None) -> SparseState:
+def step(state: SparseState, table: TransitionTable) -> SparseState:
     """Apply the global one-step operator to a sparse state.
 
     For each configuration the rule at (q, tape[h], halt) fires: the head
     state, the scanned cell and the halt bit are rewritten and the head
     moves by the outcome's move, cyclically.  Amplitudes accumulate
-    additively across interfering configurations.
+    additively across interfering configurations.  This per-configuration
+    loop is the independent reference for :func:`sparse_global_matrix`.
     """
-    d = _resolve_dims(table, dims)
+    d = table.dims
+    rules = table.rules
     out: List[Tuple[Configuration, complex]] = []
     for label, amp in state.items():
         config = validate_configuration(label, d)
         key = (config.q, config.tape[config.h], config.halt)
-        for q2, s2, move, h2, weight in table.rules[key]:
+        for q2, s2, move, h2, weight in rules[key]:
             tape2 = config.tape[: config.h] + (s2,) + config.tape[config.h + 1 :]
             target = Configuration(q2, (config.h + move) % d.N, tape2, h2)
             out.append((target, amp * weight))
     return SparseState(out)
 
 
-def _global_entries(table: TransitionTable, dims: MachineDims):
-    """Yield (row, col, amp) triples of the global matrix, column-major."""
-    for col, config in enumerate(all_configurations(dims)):
-        key = (config.q, config.tape[config.h], config.halt)
-        for q2, s2, move, h2, weight in table.rules[key]:
-            tape2 = config.tape[: config.h] + (s2,) + config.tape[config.h + 1 :]
-            target = Configuration(q2, (config.h + move) % dims.N, tape2, h2)
-            yield config_index(target, dims), col, weight
+def operator_indices(dims: MachineDims) -> Tuple[np.ndarray, np.ndarray]:
+    """Rule key of every configuration, and where each table slot sends it.
+
+    Returns ``keys`` of shape (D,), the key index of column c, and ``rows``
+    of shape (D, M, S, 2, 2), the configuration index that outcome slot
+    (q', sigma', move, halt') maps column c to.  The first column of each
+    key has the head at cell 0, the scanned symbol in cell 0 and every other
+    cell blank.  For N <= 2 both moves of an outcome reach the same row.
+    """
+    size = dims.require_dense()
+    tapes = dims.S**dims.N
+    col = np.arange(size).reshape(-1, 1, 1, 1, 1)
+    q, h = np.divmod(col // (2 * tapes), dims.N)
+    code, halt = np.divmod(col % (2 * tapes), 2)
+    place = dims.S ** (dims.N - 1 - h)  # place value of the head cell
+    sym = code // place % dims.S
+    q2 = np.arange(dims.M).reshape(-1, 1, 1, 1)
+    s2 = np.arange(dims.S).reshape(-1, 1, 1)
+    move = np.array(MOVES).reshape(-1, 1)
+    h2 = np.arange(2)
+    rows = ((q2 * dims.N + (h + move) % dims.N) * tapes + code + (s2 - sym) * place) * 2 + h2
+    keys = ((q * dims.S + sym) * 2 + halt).reshape(-1)
+    return keys, rows
 
 
-def build_global_matrix(table: TransitionTable, dims: MachineDims | None = None) -> np.ndarray:
-    """Materialize U as a dense D x D matrix (configurations in lexicographic order)."""
-    d = _resolve_dims(table, dims)
-    size = d.require_dense()
-    mat = np.zeros((size, size), dtype=complex)
-    for row, col, amp in _global_entries(table, d):
-        mat[row, col] += amp
-    return mat
+def sparse_global_matrix(table: TransitionTable) -> sp.csc_matrix:
+    """U in CSC form, configurations in lexicographic (q, h, tape, halt) order.
 
-
-def sparse_global_matrix(table: TransitionTable, dims: MachineDims | None = None) -> sp.csc_matrix:
-    """U in CSC form; same entries and ordering as :func:`build_global_matrix`."""
-    d = _resolve_dims(table, dims)
-    size = d.require_dense()
-    rows, cols, vals = [], [], []
-    for row, col, amp in _global_entries(table, d):
-        rows.append(row)
-        cols.append(col)
-        vals.append(amp)
+    Every listed outcome of a column's key contributes one entry; entries
+    that land on the same row add.
+    """
+    keys, rows = operator_indices(table.dims)
+    listed = table.support[keys]
+    cols = np.broadcast_to(np.arange(len(keys)).reshape(-1, 1, 1, 1, 1), rows.shape)
+    size = len(keys)
     return sp.csc_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)), shape=(size, size)
+        (table.amplitudes[keys][listed], (rows[listed], cols[listed])), shape=(size, size)
     )
+
+
+def build_global_matrix(table: TransitionTable) -> np.ndarray:
+    """Materialize U as a dense D x D matrix (the sparse operator, expanded)."""
+    return sparse_global_matrix(table).toarray()
 
 
 @dataclass(frozen=True)
@@ -306,13 +371,10 @@ class ComplianceReport:
         }
 
 
-def check_global_unitarity(
-    table: TransitionTable, dims: MachineDims | None = None, tol: float = 1e-12
-) -> UnitarityReport:
+def check_global_unitarity(table: TransitionTable, tol: float = 1e-12) -> UnitarityReport:
     """Max-abs entry of U^dag U - I over the full truncated configuration space."""
-    d = _resolve_dims(table, dims)
-    size = d.require_dense()
-    u = sparse_global_matrix(table, d)
+    u = sparse_global_matrix(table)
+    size = u.shape[0]
     gram = (u.getH() @ u) - sp.identity(size, dtype=complex, format="csc")
     gram.eliminate_zeros()
     dev = float(np.max(np.abs(gram.data))) if gram.nnz else 0.0
@@ -325,15 +387,14 @@ def check_ozawa_compliance(table: TransitionTable) -> ComplianceReport:
     Any outcome of a halt=1 key that rewrites the scanned symbol or clears
     the halt bit is a violation, regardless of its amplitude.
     """
-    violations = []
-    for key in sorted(table.rules):
-        _, sym, halt = key
-        if halt != 1:
-            continue
-        for q2, s2, move, h2, _amp in table.rules[key]:
-            if s2 != sym or h2 != 1:
-                violations.append((key, (q2, s2, move, h2)))
-    return ComplianceReport(violations=tuple(violations))
+    keys = rule_keys(table.dims)
+    violating = table.support & ~compliant_slots(table.dims)
+    return ComplianceReport(
+        violations=tuple(
+            (keys[k], (q2, s2, MOVES[mi], h2))
+            for k, q2, s2, mi, h2 in np.argwhere(violating).tolist()
+        )
+    )
 
 
 def right_shift_table(dims: MachineDims) -> TransitionTable:

@@ -1,6 +1,9 @@
 """Penalty search for the largest achievable halting mass.
 
-The optimizer works directly on the local rule amplitudes and maximizes
+The optimizer works directly on the local rule amplitudes, the table
+tensor of shape (2*M*S, M, S, 2, 2) indexed (key, q', sigma', move,
+halt') that :class:`~haltlab.qtm.TransitionTable` holds; its free
+variables are the entries under a boolean slot mask.  It maximizes
 the halting mass subject to global unitarity, enforced as a penalty
 lambda * ||U^dag U - I||_F^2 whose weight grows tenfold per phase.  The
 Frobenius penalty of the global matrix decomposes exactly into three
@@ -11,9 +14,9 @@ tests.
 
 Each restart ends with a projection of the final table onto the unitary
 matrices: polar decomposition of the dense global matrix, followed by a
-refit of local rules read off one representative column per key.  Where
-the polar factor is not exactly of local-rule form, the leftover is
-reported as the projection residual.
+refit of the table tensor read off one representative column per key.
+Where the polar factor is not exactly of local-rule form, the leftover
+is reported as the projection residual.
 """
 
 from __future__ import annotations
@@ -27,13 +30,16 @@ import scipy.sparse as sp
 
 from .nogo import halting_mass_from_table
 from .qtm import (
-    Configuration,
+    MOVES,
     MachineDims,
     MachineError,
     TransitionTable,
     build_global_matrix,
     check_global_unitarity,
-    config_index,
+    compliant_slots,
+    halting_slots,
+    operator_indices,
+    rule_keys,
     sparse_global_matrix,
 )
 
@@ -46,37 +52,28 @@ __all__ = [
     "search_max_halting_mass",
 ]
 
-#: move axis convention of the slot tensors: index 0 is move -1, 1 is +1
-_MOVES = (-1, 1)
-
 
 class TableParametrization:
     """Free amplitude slots of a transition table.
 
-    In compliant mode the halted keys expose only (head state, move)
-    slots that keep the scanned symbol and the halt bit; running keys
-    always expose every (q', sigma', move, halt') slot.  Slot order is
-    lexicographic in (key, q', sigma', move, halt').
+    ``mask`` has the table tensor's shape and marks the free slots; a
+    table and its slot vector convert by masking.  In compliant mode the
+    halted keys expose only (head state, move) slots that keep the scanned
+    symbol and the halt bit; running keys always expose every
+    (q', sigma', move, halt') slot.  Slot order is lexicographic in
+    (key, q', sigma', move, halt').
     """
 
     def __init__(self, dims: MachineDims, ozawa_compliant: bool = True):
         self.dims = dims
         self.ozawa_compliant = ozawa_compliant
-        self.keys = sorted(
-            (q, s, hb) for q in range(dims.M) for s in range(dims.S) for hb in (0, 1)
-        )
-        mask = np.zeros((len(self.keys), dims.M, dims.S, 2, 2), dtype=bool)
-        mass = np.zeros_like(mask)
-        for ki, (_, sym, hb) in enumerate(self.keys):
-            if ozawa_compliant and hb == 1:
-                mask[ki, :, sym, :, 1] = True
-            else:
-                mask[ki] = True
-            if hb == 0:
-                mass[ki, :, :, :, 1] = True
-        self.mask = mask
-        self.mass_mask = mask & mass
-        self.num_slots = int(mask.sum())
+        self.keys = rule_keys(dims)
+        if ozawa_compliant:
+            self.mask = compliant_slots(dims)
+        else:
+            self.mask = np.ones(dims.table_shape, dtype=bool)
+        self.mass_mask = self.mask & halting_slots(dims)
+        self.num_slots = int(self.mask.sum())
 
     def tensor_from_theta(self, theta: np.ndarray) -> np.ndarray:
         v = np.zeros(self.mask.shape, dtype=complex)
@@ -86,33 +83,18 @@ class TableParametrization:
     def theta_from_tensor(self, v: np.ndarray) -> np.ndarray:
         return v[self.mask]
 
-    def table_from_theta(self, theta: np.ndarray, threshold: float = 1e-15) -> TransitionTable:
-        v = self.tensor_from_theta(theta)
-        rules = {}
-        for ki, key in enumerate(self.keys):
-            outcomes = []
-            for q2 in range(self.dims.M):
-                for s2 in range(self.dims.S):
-                    for di, move in enumerate(_MOVES):
-                        for h2 in (0, 1):
-                            amp = v[ki, q2, s2, di, h2]
-                            if abs(amp) > threshold:
-                                outcomes.append((q2, s2, move, h2, complex(amp)))
-            rules[key] = outcomes
-        return TransitionTable(self.dims, rules)
+    def table_from_theta(self, theta: np.ndarray) -> TransitionTable:
+        return TransitionTable.from_tensor(self.dims, self.tensor_from_theta(theta))
 
     def theta_from_table(self, table: TransitionTable) -> np.ndarray:
-        v = np.zeros(self.mask.shape, dtype=complex)
-        for ki, key in enumerate(self.keys):
-            for q2, s2, move, h2, amp in table.rules[key]:
-                di = _MOVES.index(move)
-                if not self.mask[ki, q2, s2, di, h2] and abs(amp) > 0:
-                    raise MachineError(
-                        f"table amplitude at key {key} slot {(q2, s2, move, h2)} "
-                        "outside the parametrization"
-                    )
-                v[ki, q2, s2, di, h2] = amp
-        return self.theta_from_tensor(v)
+        outside = np.argwhere((table.amplitudes != 0) & ~self.mask)
+        if len(outside):
+            ki, q2, s2, di, h2 = outside[0].tolist()
+            raise MachineError(
+                f"table amplitude at key {self.keys[ki]} slot {(q2, s2, MOVES[di], h2)} "
+                "outside the parametrization"
+            )
+        return self.theta_from_tensor(table.amplitudes)
 
     def random_theta(self, rng: np.random.Generator) -> np.ndarray:
         """Raw start point: each key column drawn Gaussian and normalized."""
@@ -241,38 +223,22 @@ def project_to_unitary_table(
     """Polar-project the global matrix and refit local rules.
 
     The polar factor of the dense global matrix is the nearest unitary;
-    its local part is read off one representative column per rule key
-    (head at cell 0, scanned symbol at cell 0, other cells blank).  Any
-    entry the local pattern cannot carry is dropped, and the max-abs
+    its local part is read off one representative column per rule key,
+    the key's first configuration (head at cell 0, scanned symbol at cell
+    0, other cells blank), at the rows the table's slots send it to.  Any
+    entry the slot mask cannot carry is dropped, and the max-abs
     difference between the polar factor and the refit table's global
     matrix is returned as the projection residual (zero when the refit is
     exact).
     """
     dims = table.dims
-    dims.require_dense()
     polar = _polar_factor(build_global_matrix(table))
     param = TableParametrization(dims, ozawa_compliant)
 
-    blank = (0,) * (dims.N - 1)
-    rules = {}
-    for ki, key in enumerate(param.keys):
-        q, sym, hb = key
-        rep = Configuration(q, 0, (sym,) + blank, hb)
-        col = polar[:, config_index(rep, dims)]
-        outcomes = []
-        for q2 in range(dims.M):
-            for s2 in range(dims.S):
-                for di, move in enumerate(_MOVES):
-                    for h2 in (0, 1):
-                        if not param.mask[ki, q2, s2, di, h2]:
-                            continue
-                        target = Configuration(q2, move % dims.N, (s2,) + blank, h2)
-                        amp = col[config_index(target, dims)]
-                        if abs(amp) > 1e-15:
-                            outcomes.append((q2, s2, move, h2, complex(amp)))
-        rules[key] = outcomes
-
-    refit = TransitionTable(dims, rules)
+    keys, rows = operator_indices(dims)
+    first = np.unique(keys, return_index=True)[1]
+    local = polar[rows[first], first.reshape(-1, 1, 1, 1, 1)]
+    refit = TransitionTable.from_tensor(dims, np.where(param.mask, local, 0))
     residual = float(np.max(np.abs(polar - build_global_matrix(refit))))
     return refit, residual
 

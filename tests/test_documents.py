@@ -16,7 +16,12 @@ from haltlab.documents import (
     loads_scenario,
 )
 from haltlab.nogo import random_compliant_table
-from haltlab.qtm import MachineDims, right_shift_table
+from haltlab.qtm import (
+    MachineDims,
+    TransitionTable,
+    check_ozawa_compliance,
+    right_shift_table,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -33,6 +38,21 @@ def test_random_machine_round_trip_preserves_rules():
     assert again.dims == table.dims
     assert again.rules == table.rules
     assert dumps_machine(again) == text
+
+
+def test_listed_zero_amplitude_outcome_counts_and_round_trips():
+    # a halted key listing a tape-rewriting outcome of amplitude zero is
+    # still a compliance violation, and the document keeps the listing
+    dims = MachineDims(1, 2, 3)
+    rules = {(0, s, hb): [(0, s, 1, hb, 1.0)] for s in range(2) for hb in (0, 1)}
+    rules[(0, 0, 1)] = [(0, 0, 1, 1, 1.0), (0, 1, -1, 1, 0.0)]
+    text = dumps_machine(TransitionTable(dims, rules))
+    assert json.loads(text)["rules"][1]["out"][1] == {
+        "q2": 0, "sym2": 1, "move": -1, "halt2": 1, "amp": [0.0, 0.0]
+    }
+    table = loads_machine(text)
+    assert check_ozawa_compliance(table).violations == (((0, 0, 1), (0, 1, -1, 1)),)
+    assert dumps_machine(table) == text
 
 
 def test_scenario_round_trip_is_idempotent():

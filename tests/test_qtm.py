@@ -1,8 +1,12 @@
 """Machine model: step operator, global matrix, unitarity and compliance."""
 
+import itertools
+import pathlib
+
 import numpy as np
 import pytest
 
+from haltlab.documents import load_machine
 from haltlab.hilbert import SparseState, inner_product
 from haltlab.nogo import random_compliant_table
 from haltlab.qtm import (
@@ -20,6 +24,7 @@ from haltlab.qtm import (
     step,
 )
 
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 INV_SQRT2 = 2**-0.5
 
 
@@ -129,12 +134,70 @@ def test_step_agrees_with_dense_matrix():
             assert np.max(np.abs(direct - via_matrix)) < 1e-14
 
 
-def test_sparse_and_dense_global_matrices_agree():
-    dims = MachineDims(2, 2, 4)
-    table = random_compliant_table(dims, np.random.default_rng(9))
-    dense = build_global_matrix(table)
-    sparse = sparse_global_matrix(table).toarray()
-    assert np.max(np.abs(dense - sparse)) == 0.0
+def _all_configurations(dims):
+    """Every configuration, in lexicographic (q, h, tape, halt) order."""
+    return [
+        Configuration(q, h, tape, halt)
+        for q in range(dims.M)
+        for h in range(dims.N)
+        for tape in itertools.product(range(dims.S), repeat=dims.N)
+        for halt in (0, 1)
+    ]
+
+
+def _both_moves_table(dims):
+    # compliant (symbol and halt bit kept); with N <= 2 the two moves of
+    # an outcome reach the same configuration and their amplitudes add
+    rules = {
+        (q, s, hb): [(q, s, -1, hb, 0.6), (q, s, 1, hb, 0.8j)]
+        for q in range(dims.M)
+        for s in range(dims.S)
+        for hb in (0, 1)
+    }
+    return TransitionTable(dims, rules)
+
+
+def test_sparse_global_matrix_columns_match_step():
+    # the per-configuration step is the independent oracle for the
+    # vectorized operator build: every basis column must agree exactly
+    tables = [
+        _both_moves_table(MachineDims(2, 2, 2)),
+        random_compliant_table(MachineDims(2, 2, 4), np.random.default_rng(9)),
+        random_compliant_table(MachineDims(2, 2, 6), np.random.default_rng(10)),
+        load_machine(FIXTURES / "leaky_nonunitary.json"),
+    ]
+    for table in tables:
+        dims = table.dims
+        configs = _all_configurations(dims)
+        assert [config_index(c, dims) for c in configs] == list(range(dims.dim))
+        matrix = sparse_global_matrix(table).toarray()
+        for col, config in enumerate(configs):
+            expected = _to_vector(step(SparseState.basis(config), table), dims)
+            assert np.array_equal(matrix[:, col], expected), (dims, config)
+    # column 0 is (q=0, h=0, tape=(0, 0), halt=0); both moves land on h=1
+    row = config_index(Configuration(0, 1, (0, 0), 0), tables[0].dims)
+    assert sparse_global_matrix(tables[0])[row, 0] == 0.6 + 0.8j
+
+
+def test_tensor_and_outcome_lists_round_trip():
+    dims = MachineDims(2, 2, 6)
+    table = random_compliant_table(dims, np.random.default_rng(3))
+    assert table.amplitudes.shape == table.support.shape == dims.table_shape
+    assert not table.amplitudes.flags.writeable and not table.support.flags.writeable
+    again = TransitionTable(dims, table.rules)
+    assert np.array_equal(again.amplitudes, table.amplitudes)
+    assert np.array_equal(again.support, table.support)
+    assert again.rules == table.rules
+    tensor = np.array(table.amplitudes)
+    tensor[0, 0, 0, 0, 0] = 1e-16
+    tensor[0, 0, 0, 0, 1] = 0.25
+    floored = TransitionTable.from_tensor(dims, tensor)
+    assert not floored.support[0, 0, 0, 0, 0] and floored.amplitudes[0, 0, 0, 0, 0] == 0
+    assert floored.support[0, 0, 0, 0, 1] and floored.amplitudes[0, 0, 0, 0, 1] == 0.25
+    for bad in (np.inf, np.nan):
+        tensor[1, 0, 0, 0, 0] = bad
+        with pytest.raises(MachineError):
+            TransitionTable.from_tensor(dims, tensor)
 
 
 def test_unitary_table_preserves_norm_and_inner_products():
