@@ -39,7 +39,6 @@ from .hilbert import (
     DensityMatrix,
     HilbertError,
     SparseState,
-    gram,
     inner_product,
     reduced_density,
 )
@@ -51,7 +50,6 @@ from .nogo import (
     check_gram_identities,
     compute_Phi_vectors,
     compute_Q_vectors,
-    halting_mass_from_matrix,
     halting_mass_from_table,
     halting_witness_table,
     random_compliant_table,

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 the command ran and every check passed, 1 a semantic check
-failed (non-unitary machine, compliance violation, failed residuals), 2 a
-usage or parse error.  All output is a deterministic function of the
-arguments, input files and seed.
+failed (non-unitary machine, compliance violation, failed residuals, no
+search restart within the unitarity bound), 2 a usage or parse error.  All
+output is a deterministic function of the arguments, input files and seed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .qtm import (
     check_global_unitarity,
     check_ozawa_compliance,
 )
-from .search import search_max_halting_mass
+from .search import FEASIBLE_DEVIATION, search_max_halting_mass
 
 __all__ = ["main", "run_main", "build_parser"]
 
@@ -221,6 +221,13 @@ def cmd_search(args) -> int:
             handle.write("iteration,objective\n")
             for iteration, objective in result.trace:
                 handle.write(f"{iteration},{_fmt(objective)}\n")
+    if not result.feasible:
+        print(
+            f"error: no restart reached unitarity deviation <= {FEASIBLE_DEVIATION:g}; "
+            f"smallest was {result.best_unitarity_deviation:.3e} (restart {result.best_restart})",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

@@ -20,7 +20,6 @@ __all__ = [
     "SparseState",
     "DensityMatrix",
     "inner_product",
-    "gram",
     "reduced_density",
 ]
 
@@ -119,20 +118,6 @@ def inner_product(x: SparseState, y: SparseState) -> complex:
     """<x|y>, conjugate-linear in ``x`` and linear in ``y``."""
     common = sorted(set(x.labels()) & set(y.labels()))
     return complex(sum(x.amplitude(l).conjugate() * y.amplitude(l) for l in common))
-
-
-def gram(vectors: Sequence[SparseState]) -> np.ndarray:
-    """Gram matrix G[j, k] = <v_j|v_k>; Hermitian by construction."""
-    if len(vectors) == 0:
-        raise HilbertError("gram requires at least one vector")
-    n = len(vectors)
-    g = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(j, n):
-            val = inner_product(vectors[j], vectors[k])
-            g[j, k] = val
-            g[k, j] = val.conjugate()
-    return g
 
 
 class DensityMatrix:

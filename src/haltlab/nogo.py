@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .qtm import (
     MachineDims,
@@ -44,7 +43,6 @@ __all__ = [
     "compute_Phi_vectors",
     "verify_nogo",
     "halting_mass_from_table",
-    "halting_mass_from_matrix",
     "haar_unitary",
     "random_compliant_table",
     "halting_witness_table",
@@ -332,24 +330,6 @@ def halting_mass_from_table(table: TransitionTable) -> float:
     """Total squared running-to-halted amplitude, summed over all running keys."""
     halting = table.amplitudes[halting_slots(table.dims)].tolist()
     return math.fsum(abs(amp) ** 2 for amp in halting)
-
-
-def halting_mass_from_matrix(matrix, dims: MachineDims) -> float:
-    """Halting mass read off the global matrix.
-
-    Sums |U[halted row, running column]|^2 and divides by the number of
-    configurations sharing one rule key (N * S**(N-1)), which makes the
-    value comparable entry-for-entry with :func:`halting_mass_from_table`.
-    Rows and columns follow the lexicographic configuration order, where
-    the halt bit is the fastest index.
-    """
-    if sp.issparse(matrix):
-        dense = np.asarray(matrix.todense())
-    else:
-        dense = np.asarray(matrix)
-    block = dense[1::2, 0::2]  # halted rows, running columns
-    multiplicity = dims.N * dims.S ** (dims.N - 1)
-    return float(np.sum(np.abs(block) ** 2)) / multiplicity
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,22 @@ Each restart ends with a projection of the final table onto the unitary
 matrices: polar decomposition of the dense global matrix, followed by a
 refit of the table tensor read off one representative column per key.
 Where the polar factor is not exactly of local-rule form, the leftover
-is reported as the projection residual.
+is reported as the projection residual.  Because the operator comes from
+local rules, its nonzero pattern splits into many small independent
+blocks, and the polar factor is computed exactly as one small SVD per
+block.  Only restarts whose certified unitarity deviation is within
+:data:`FEASIBLE_DEVIATION` may win the search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 import scipy.optimize
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .nogo import halting_mass_from_table
 from .qtm import (
@@ -40,17 +45,20 @@ from .qtm import (
     halting_slots,
     operator_indices,
     rule_keys,
-    sparse_global_matrix,
 )
 
 __all__ = [
+    "FEASIBLE_DEVIATION",
     "TableParametrization",
     "SearchResult",
     "penalty_value_grad",
-    "global_frobenius_penalty",
     "project_to_unitary_table",
     "search_max_halting_mass",
 ]
+
+#: Largest certified unitarity deviation max|U^dag U - I| of a restart
+#: that may win the search (the acceptance bound of the search).
+FEASIBLE_DEVIATION = 1e-8
 
 
 class TableParametrization:
@@ -143,13 +151,6 @@ def penalty_value_grad(v: np.ndarray, dims: MachineDims) -> Tuple[float, np.ndar
     return pen_same + pen_pair, grad
 
 
-def global_frobenius_penalty(table: TransitionTable) -> float:
-    """||U^dag U - I||_F^2 computed from the sparse global matrix."""
-    u = sparse_global_matrix(table)
-    gram = (u.getH() @ u) - sp.identity(u.shape[0], dtype=complex, format="csc")
-    return float(np.sum(np.abs(gram.data) ** 2))
-
-
 def _objective(x, param, lam, mass_weight):
     n = param.num_slots
     theta = x[:n] + 1j * x[n:]
@@ -174,9 +175,40 @@ def _mass_and_penalty(x, param):
 
 
 def _polar_factor(matrix: np.ndarray) -> np.ndarray:
-    """Closest unitary matrix in Frobenius norm (polar decomposition via SVD)."""
-    left, _, right = np.linalg.svd(matrix)
-    return left @ right
+    """Closest unitary matrix in Frobenius norm (polar decomposition via SVD).
+
+    Exact block by block.  Rows and columns are split into the connected
+    components of the bipartite graph joining row i to column j wherever
+    ``matrix[i, j] != 0``.  Components with as many rows as columns are
+    square blocks; every other component (zero rows and zero columns
+    included) joins one remainder block, which is square because the
+    matrix is.  Up to a permutation of rows and of columns the matrix is
+    the direct sum of these blocks, so its polar factor is the direct sum
+    of theirs: ``left @ right`` of each block's SVD written in place.  A
+    fully coupled matrix is one block, a single dense SVD.
+    """
+    size = matrix.shape[0]
+    pattern = sp.csr_matrix(matrix != 0)
+    graph = sp.bmat([[None, pattern], [pattern.T, None]], format="csr")
+    count, labels = connected_components(graph, directed=False)
+    row_labels, col_labels = labels[:size], labels[size:]
+    square = np.bincount(row_labels, minlength=count) == np.bincount(col_labels, minlength=count)
+    block = np.where(square, np.arange(count), count)
+    row_block, col_block = block[row_labels], block[col_labels]
+    row_order = np.argsort(row_block, kind="stable")
+    col_order = np.argsort(col_block, kind="stable")
+    bounds = np.cumsum(np.bincount(row_block, minlength=count + 1))
+
+    polar = np.zeros_like(matrix)
+    start = 0
+    for stop in bounds:
+        if stop > start:
+            rows = row_order[start:stop, None]
+            cols = col_order[start:stop]
+            left, _, right = np.linalg.svd(matrix[rows, cols])
+            polar[rows, cols] = left @ right
+        start = stop
+    return polar
 
 
 def _escape_dead_columns(x: np.ndarray, param: TableParametrization, rng) -> np.ndarray:
@@ -222,14 +254,15 @@ def project_to_unitary_table(
 ) -> Tuple[TransitionTable, float]:
     """Polar-project the global matrix and refit local rules.
 
-    The polar factor of the dense global matrix is the nearest unitary;
-    its local part is read off one representative column per rule key,
-    the key's first configuration (head at cell 0, scanned symbol at cell
-    0, other cells blank), at the rows the table's slots send it to.  Any
-    entry the slot mask cannot carry is dropped, and the max-abs
-    difference between the polar factor and the refit table's global
-    matrix is returned as the projection residual (zero when the refit is
-    exact).
+    The polar factor of the dense global matrix is the nearest unitary,
+    computed exactly over the matrix's independent blocks (see
+    :func:`_polar_factor`); its local part is read off one representative
+    column per rule key, the key's first configuration (head at cell 0,
+    scanned symbol at cell 0, other cells blank), at the rows the table's
+    slots send it to.  Any entry the slot mask cannot carry is dropped,
+    and the max-abs difference between the polar factor and the refit
+    table's global matrix is returned as the projection residual (zero
+    when the refit is exact).
     """
     dims = table.dims
     polar = _polar_factor(build_global_matrix(table))
@@ -252,6 +285,11 @@ class SearchResult:
     trace: Tuple[Tuple[int, float], ...]
     table: TransitionTable
 
+    @property
+    def feasible(self) -> bool:
+        """Whether the certified deviation is within :data:`FEASIBLE_DEVIATION`."""
+        return self.best_unitarity_deviation <= FEASIBLE_DEVIATION
+
     def as_dict(self) -> dict:
         return {
             "best_mass": self.best_mass,
@@ -259,6 +297,19 @@ class SearchResult:
             "best_projection_residual": self.best_projection_residual,
             "best_restart": self.best_restart,
         }
+
+
+def _select_restart(candidates: Sequence[SearchResult]) -> SearchResult:
+    """The winning restart: largest mass among the feasible ones.
+
+    Ties go to the earliest restart.  Mass from an infeasible restart is
+    never reported as a win; when no restart is feasible, the one with the
+    smallest deviation is returned so the caller can report the failure.
+    """
+    feasible = [c for c in candidates if c.feasible]
+    if feasible:
+        return max(feasible, key=lambda c: c.best_mass)
+    return min(candidates, key=lambda c: c.best_unitarity_deviation)
 
 
 def search_max_halting_mass(
@@ -277,8 +328,11 @@ def search_max_halting_mass(
     penalty weight growing by ``lambda_growth`` per phase, then a final
     feasibility polish (penalty only), then the polar projection/refit.
     Fully deterministic given ``seed``: restart r draws from
-    ``default_rng([seed, r])``.  Restarts are independent and are merged
-    by picking the largest projected mass, earliest restart on ties.
+    ``default_rng([seed, r])``.  Restarts are independent; the winner is
+    the feasible restart (certified deviation at most
+    :data:`FEASIBLE_DEVIATION`) with the largest projected mass, earliest
+    restart on ties.  When no restart is feasible the result is the one
+    with the smallest deviation and its ``feasible`` is false.
     """
     if restarts < 1:
         raise MachineError("restarts must be >= 1")
@@ -291,7 +345,7 @@ def search_max_halting_mass(
     polish_iters = max(1, iterations - num_phases * per_phase)
     mass_weight = 1.0
 
-    best = None
+    candidates = []
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
         param = TableParametrization(dims, ozawa_compliant)
@@ -337,14 +391,14 @@ def search_max_halting_mass(
         mass = halting_mass_from_table(refit)
         deviation = check_global_unitarity(refit).max_deviation
 
-        candidate = SearchResult(
-            best_mass=mass,
-            best_unitarity_deviation=deviation,
-            best_projection_residual=projection_residual,
-            best_restart=restart,
-            trace=tuple(trace),
-            table=refit,
+        candidates.append(
+            SearchResult(
+                best_mass=mass,
+                best_unitarity_deviation=deviation,
+                best_projection_residual=projection_residual,
+                best_restart=restart,
+                trace=tuple(trace),
+                table=refit,
+            )
         )
-        if best is None or candidate.best_mass > best.best_mass:
-            best = candidate
-    return best
+    return _select_restart(candidates)

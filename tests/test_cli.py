@@ -131,6 +131,18 @@ def test_search_no_ozawa_warns_and_finds_mass(capsys):
     assert "warning" in doc
 
 
+def test_search_without_feasible_restart_exits_1(capsys):
+    code, out, err = run_cli(
+        capsys, "search", "--dims", "M=1,S=2,N=6", "--restarts", "2",
+        "--iterations", "1", "--seed", "0",
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["best_unitarity_deviation"] > 1e-8
+    assert {"best_mass", "best_projection_residual", "best_restart"} <= set(doc)
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_search_zero_restarts_exits_2(capsys):
     code, _, err = run_cli(
         capsys, "search", "--dims", "M=2,S=2,N=6", "--restarts", "0"

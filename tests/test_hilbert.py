@@ -11,10 +11,10 @@ from haltlab.hilbert import (
     DensityMatrix,
     HilbertError,
     SparseState,
-    gram,
     inner_product,
     reduced_density,
 )
+from oracles import gram
 
 INV_SQRT2 = 2**-0.5
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from haltlab.hilbert import SparseState
 from haltlab.nogo import (
     HaltedSectorVectors,
     PreconditionError,
@@ -12,7 +13,6 @@ from haltlab.nogo import (
     compute_Phi_vectors,
     compute_Q_vectors,
     haar_unitary,
-    halting_mass_from_matrix,
     halting_mass_from_table,
     halting_witness_table,
     random_compliant_table,
@@ -27,6 +27,7 @@ from haltlab.qtm import (
     check_ozawa_compliance,
     right_shift_table,
 )
+from oracles import gram, halting_mass_from_matrix
 
 INV_SQRT2 = 2**-0.5
 
@@ -191,8 +192,6 @@ def test_halted_sector_gram_via_sparse_states_is_identity():
     # second route to the halted-sector norm identity: embed Q+_j + Q-_j
     # as one sparse vector per j (disjoint move sectors) and take the
     # Gram matrix with the generic vector engine
-    from haltlab.hilbert import SparseState, gram
-
     dims = MachineDims(2, 2, 6)
     table = random_compliant_table(dims, np.random.default_rng(8))
     for xi in range(dims.S):

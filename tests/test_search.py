@@ -8,15 +8,25 @@ from haltlab.nogo import (
     halting_witness_table,
     random_compliant_table,
 )
-from haltlab.qtm import MachineDims, MachineError, check_global_unitarity
+from haltlab.qtm import (
+    MachineDims,
+    MachineError,
+    TransitionTable,
+    build_global_matrix,
+    check_global_unitarity,
+    right_shift_table,
+)
 from haltlab.search import (
+    FEASIBLE_DEVIATION,
+    SearchResult,
     TableParametrization,
-    global_frobenius_penalty,
     penalty_value_grad,
     project_to_unitary_table,
     search_max_halting_mass,
 )
 from haltlab.search import _objective  # gradient check
+from haltlab.search import _polar_factor, _select_restart
+from oracles import global_frobenius_penalty
 
 
 def _perturbed_theta(dims, compliant, seed, scale=0.1):
@@ -109,6 +119,78 @@ def test_projection_is_identity_on_unitary_tables():
     assert check_global_unitarity(refit).max_deviation < 1e-12
 
 
+def _dense_polar(matrix):
+    """Independent slow path: one SVD of the whole matrix."""
+    left, sing, right = np.linalg.svd(matrix)
+    return left @ right, sing
+
+
+def _polar_cases():
+    dims = MachineDims(1, 2, 6)
+    rng = np.random.default_rng(29)
+    param = TableParametrization(dims, True)
+    start = param.table_from_theta(param.random_theta(rng))
+    _, theta = _perturbed_theta(dims, True, seed=31, scale=0.02)
+    support = rng.uniform(size=dims.table_shape) < 0.3
+    noise = rng.standard_normal(dims.table_shape) + 1j * rng.standard_normal(dims.table_shape)
+    zero_keys = random_compliant_table(dims, rng).amplitudes.copy()
+    zero_keys[1] = 0.0
+    return {
+        "search_start": build_global_matrix(start),
+        "perturbed_compliant": build_global_matrix(param.table_from_theta(theta)),
+        "right_shift": build_global_matrix(right_shift_table(dims)),
+        "sparse_arbitrary": build_global_matrix(
+            TransitionTable.from_tensor(dims, np.where(support, noise, 0.0))
+        ),
+        "zero_keys": build_global_matrix(TransitionTable.from_tensor(dims, zero_keys)),
+        "dense_random": rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_polar_cases()))
+def test_block_polar_factor_matches_dense_svd(case):
+    matrix = _polar_cases()[case]
+    polar = _polar_factor(matrix)
+    oracle, sing = _dense_polar(matrix)
+    eye = np.eye(matrix.shape[0])
+    assert np.max(np.abs(polar.conj().T @ polar - eye)) <= 1e-13
+    dist, dist_oracle = np.linalg.norm(matrix - polar), np.linalg.norm(matrix - oracle)
+    assert dist == pytest.approx(dist_oracle, rel=1e-12, abs=1e-12)
+    # P^dag M is the Hermitian PSD factor of M = P H
+    herm = polar.conj().T @ matrix
+    assert np.max(np.abs(herm - herm.conj().T)) <= 1e-12 * sing[0]
+    assert np.linalg.eigvalsh(herm).min() >= -1e-12 * sing[0]
+    if sing[-1] > 1e-8 * sing[0]:  # nonsingular: the polar factor is unique
+        assert np.max(np.abs(polar - oracle)) <= 1e-12
+
+
+def _candidate(restart, mass, deviation):
+    return SearchResult(
+        best_mass=mass,
+        best_unitarity_deviation=deviation,
+        best_projection_residual=0.0,
+        best_restart=restart,
+        trace=(),
+        table=right_shift_table(MachineDims(1, 1, 1)),
+    )
+
+
+def test_only_feasible_restarts_win():
+    infeasible_heavy = _candidate(0, 0.9, 0.4)
+    feasible = _candidate(1, 0.1, 1e-12)
+    at_bound = _candidate(2, 0.1, FEASIBLE_DEVIATION)
+    assert _select_restart([infeasible_heavy, feasible, at_bound]) is feasible
+    assert _select_restart([infeasible_heavy, at_bound]) is at_bound
+    assert _select_restart([feasible, _candidate(3, 0.5, 1e-9)]).best_restart == 3
+
+
+def test_without_feasible_restart_the_smallest_deviation_is_reported():
+    chosen = _select_restart([_candidate(0, 0.9, 0.4), _candidate(1, 0.0, 0.2),
+                              _candidate(2, 0.5, 0.2)])
+    assert chosen.best_restart == 1
+    assert not chosen.feasible
+
+
 def test_search_validates_arguments():
     dims = MachineDims(2, 2, 6)
     with pytest.raises(MachineError):
@@ -149,4 +231,7 @@ def test_search_is_deterministic():
     r1 = search_max_halting_mass(dims, restarts=1, iterations=120, seed=11)
     r2 = search_max_halting_mass(dims, restarts=1, iterations=120, seed=11)
     assert r1.best_mass == r2.best_mass
+    assert r1.best_unitarity_deviation == r2.best_unitarity_deviation
+    assert r1.best_projection_residual == r2.best_projection_residual
+    assert r1.table.amplitudes.tobytes() == r2.table.amplitudes.tobytes()
     assert r1.trace == r2.trace
