@@ -205,12 +205,15 @@ class RunTrace:
         return b.halt_bit(t), self.policy.ancilla_index(b.id, t, b.halt_step)
 
 
-def _composite(branch: BranchSpec, policy: AncillaPolicy, t: int):
-    return (
-        branch.label_at(t),
-        branch.halt_bit(t),
-        policy.ancilla_index(branch.id, t, branch.halt_step),
-    )
+def _branch_labels(branch: BranchSpec, policy: AncillaPolicy, t_max: int):
+    """Composite labels (label, halt bit, ancilla index) of one branch at
+    steps 0 .. t_max, produced one step at a time."""
+    orbit, halt_step, post = branch.orbit, branch.halt_step, branch.post_halt_label
+    ancilla_index = policy.ancilla_index
+    for t in range(min(halt_step, t_max + 1)):
+        yield (orbit[t], 0, 0)
+    for t in range(halt_step, t_max + 1):
+        yield (post, 1, ancilla_index(branch.id, t, halt_step))
 
 
 def run_superposition(
@@ -221,10 +224,17 @@ def run_superposition(
 ) -> RunTrace:
     """Evolve sum_i a_i |c_i(t), H_i(t), anc_i(t)> for t = 0 .. t_max.
 
-    The amplitudes must be normalized to 1e-12 and the branch set must
-    contain no duplicated branch.  Every step is checked to have norm 1:
-    a violation means two branches collided on the same composite label,
-    which the branch bookkeeping cannot represent.
+    The amplitudes must be finite and normalized to 1e-12, and the branch
+    set must contain no duplicated branch.  Every step is checked to have
+    norm 1: a violation means two branches collided on the same composite
+    label, which the branch bookkeeping cannot represent.
+
+    The amplitudes are validated and pruned once, keyed by branch
+    position.  A step whose composite labels are pairwise distinct
+    relabels them and keeps their norm; a step where labels collide
+    builds a new state, so the collision merges or raises.  Labels are
+    produced step by step, branch by branch, so the first failing step
+    and branch raise.
     """
     if t_max < 0:
         raise BranchModelError("t_max must be >= 0")
@@ -232,7 +242,7 @@ def run_superposition(
         raise BranchModelError("need one amplitude per branch, at least one branch")
     amps = tuple(complex(a) for a in amps)
     total = math.fsum(abs(a) ** 2 for a in amps)
-    if abs(total - 1.0) > NORM_TOL:
+    if not abs(total - 1.0) <= NORM_TOL:  # also rejects a NaN total
         raise BranchModelError(f"amplitudes not normalized: sum |a|^2 = {total!r}")
     ids = [b.id for b in branches]
     if len(set(ids)) != len(ids):
@@ -241,12 +251,20 @@ def run_superposition(
     if len(fingerprints) != len(branches):
         raise BranchModelError("duplicated branch: same orbit and halt data")
 
+    validated = SparseState(enumerate(amps))
+    kept = validated.items()
+    kept_norm = validated.norm()
+    n = len(branches)
     states = []
-    for t in range(t_max + 1):
-        state = SparseState(
-            (_composite(b, policy, t), a) for b, a in zip(branches, amps)
-        )
-        if abs(state.norm() - 1.0) > NORM_TOL:
+    steps = zip(*(_branch_labels(b, policy, t_max) for b in branches))
+    for t, labels in enumerate(steps):
+        if len(set(labels)) == n:
+            state = SparseState._adopt({labels[k]: a for k, a in kept})
+            norm = kept_norm
+        else:
+            state = SparseState(zip(labels, amps))
+            norm = state.norm()
+        if abs(norm - 1.0) > NORM_TOL:
             raise BranchModelError(
                 f"branches collide on a composite label at step {t}; "
                 "the run is not an isometry on the branch set"

@@ -2,8 +2,9 @@
 
 One vector engine serves every state space in the package: labels are
 whatever hashable, sortable objects the caller encodes its basis with
-(machine configurations, branch/ancilla composites, ...).  All reductions
-iterate in sorted label order, so every result is bit-stable across runs.
+(machine configurations, branch/ancilla composites, ...).  Every
+reduction is bit-stable across runs: it iterates in sorted label order,
+or, like the norm, takes a correctly rounded sum that no order changes.
 """
 
 from __future__ import annotations
@@ -66,6 +67,18 @@ class SparseState:
         self._entries = data
 
     @classmethod
+    def _adopt(cls, entries: dict) -> "SparseState":
+        """Wrap ``entries`` as a state without validating it again.
+
+        The caller hands over the dict and must guarantee what the
+        constructor would: every amplitude a finite complex number above
+        the prune threshold, stored once under its own label.
+        """
+        state = cls.__new__(cls)
+        state._entries = entries
+        return state
+
+    @classmethod
     def basis(cls, label: BasisLabel) -> "SparseState":
         """Unit basis vector |label>."""
         return cls(((label, 1.0 + 0j),))
@@ -87,7 +100,8 @@ class SparseState:
         return label in self._entries
 
     def norm_squared(self) -> float:
-        return math.fsum(abs(a) ** 2 for _, a in self.items())
+        # fsum is correctly rounded, so no sort is needed
+        return math.fsum(abs(a) ** 2 for a in self._entries.values())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())

@@ -2,8 +2,9 @@
 
 Each function recomputes a quantity the package computes another way,
 by the most direct route available: the Gram matrix pair by pair, the
-halting mass from the global matrix, and the unitarity penalty from the
-global product U^dag U.  None of them is used by the package itself.
+halting mass from the global matrix, the unitarity penalty from the
+global product U^dag U, and every state of a branch superposition built
+and normed from scratch.  None of them is used by the package itself.
 """
 
 from typing import Sequence
@@ -11,6 +12,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from haltlab.ancilla import NORM_TOL, AncillaPolicy, BranchModelError, BranchSpec
 from haltlab.hilbert import HilbertError, SparseState, inner_product
 from haltlab.qtm import MachineDims, TransitionTable, sparse_global_matrix
 
@@ -53,3 +55,38 @@ def global_frobenius_penalty(table: TransitionTable) -> float:
     u = sparse_global_matrix(table)
     gram = (u.getH() @ u) - sp.identity(u.shape[0], dtype=complex, format="csc")
     return float(np.sum(np.abs(gram.data) ** 2))
+
+
+def _composite(branch: BranchSpec, policy: AncillaPolicy, t: int):
+    return (
+        branch.label_at(t),
+        branch.halt_bit(t),
+        policy.ancilla_index(branch.id, t, branch.halt_step),
+    )
+
+
+def superposition_states(
+    branches: Sequence[BranchSpec],
+    amps: Sequence[complex],
+    policy: AncillaPolicy,
+    t_max: int,
+) -> list:
+    """States 0 .. t_max of :func:`haltlab.ancilla.run_superposition`.
+
+    Each step is a new SparseState over every branch's composite label,
+    checked to have norm 1.  Skips the checks run_superposition makes
+    before its first step.
+    """
+    amps = tuple(complex(a) for a in amps)
+    states = []
+    for t in range(t_max + 1):
+        state = SparseState(
+            (_composite(b, policy, t), a) for b, a in zip(branches, amps)
+        )
+        if abs(state.norm() - 1.0) > NORM_TOL:
+            raise BranchModelError(
+                f"branches collide on a composite label at step {t}; "
+                "the run is not an isometry on the branch set"
+            )
+        states.append(state)
+    return states

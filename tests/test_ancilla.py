@@ -18,6 +18,7 @@ from haltlab.ancilla import (
     monitoring_effect,
     run_superposition,
 )
+from oracles import superposition_states
 
 INV_SQRT2 = 2**-0.5
 
@@ -115,8 +116,10 @@ def test_unequal_halt_times_split_halt_bit_then_ancilla():
 
 
 def test_amplitudes_must_be_normalized():
-    with pytest.raises(BranchModelError):
-        run_superposition(_pair(3, 5), (0.5, 0.5), AncillaPolicy.shared(), t_max=4)
+    nan, inf = float("nan"), float("inf")
+    for amps in [(0.5, 0.5), (nan, 1.0), (complex(1.0, nan), 0.0), (inf, 0.0)]:
+        with pytest.raises(BranchModelError, match="not normalized"):
+            run_superposition(_pair(3, 5), amps, AncillaPolicy.shared(), t_max=4)
 
 
 def test_duplicated_branches_rejected():
@@ -124,6 +127,61 @@ def test_duplicated_branches_rejected():
     b2 = BranchSpec(id=2, orbit=b1.orbit, halt_step=3)
     with pytest.raises(BranchModelError):
         run_superposition([b1, b2], EQUAL_AMPS, AncillaPolicy.shared(), t_max=5)
+
+
+def _bits(state):
+    return [(label, a.real.hex(), a.imag.hex()) for label, a in state.items()]
+
+
+def _assert_matches_oracle(branches, amps, policy, t_max):
+    """Same states, bit for bit, or the same error type and text."""
+    try:
+        expected = [_bits(s) for s in superposition_states(branches, amps, policy, t_max)]
+    except BranchModelError as exc:
+        with pytest.raises(BranchModelError) as caught:
+            run_superposition(branches, amps, policy, t_max)
+        assert type(caught.value) is type(exc)
+        assert str(caught.value) == str(exc)
+        return caught.value
+    trace = run_superposition(branches, amps, policy, t_max)
+    assert [_bits(trace.state(t)) for t in range(t_max + 1)] == expected
+    return trace
+
+
+def test_orthogonal_phases_on_one_label_merge_into_one_entry():
+    b1 = BranchSpec(id=1, orbit=("x", "a1"), halt_step=1)
+    b2 = BranchSpec(id=2, orbit=("x", "b1"), halt_step=1)
+    trace = _assert_matches_oracle(
+        [b1, b2], (INV_SQRT2, 1j * INV_SQRT2), AncillaPolicy.shared(), t_max=3
+    )
+    assert [label for label, _ in trace.state(0).items()] == [("x", 0, 0)]
+    assert len(trace.state(1)) == 2
+
+
+def test_collision_is_reported_before_a_later_policy_gap():
+    b1 = BranchSpec(id=1, orbit=("x", "a1"), halt_step=1)
+    b2 = BranchSpec(id=2, orbit=("x", "b1"), halt_step=1)
+    policy = AncillaPolicy.custom({1: {0: 0}})  # offset 1 is reached at t = 2
+    error = _assert_matches_oracle([b1, b2], EQUAL_AMPS, policy, t_max=3)
+    assert type(error) is BranchModelError
+    assert "collide on a composite label at step 0" in str(error)
+
+
+def test_earliest_step_policy_gap_is_reported_first():
+    # branch 1 comes first but its gap (offset 2) is reached one step after
+    # branch 2's (offset 0)
+    policy = AncillaPolicy.custom({1: {0: 0, 1: 1}, 2: {}})
+    error = _assert_matches_oracle(_pair(1, 2), EQUAL_AMPS, policy, t_max=4)
+    assert type(error) is PolicyError
+    assert str(error) == "custom map for branch 2 does not cover offset 0"
+
+
+def test_pruned_branch_still_needs_its_policy_to_cover_it():
+    branches = _pair(3, 4) + [_branch(3, "c", 1)]
+    policy = AncillaPolicy.custom({3: {}})
+    error = _assert_matches_oracle(branches, EQUAL_AMPS + (1e-17,), policy, t_max=2)
+    assert type(error) is PolicyError
+    assert str(error) == "custom map for branch 3 does not cover offset 0"
 
 
 def test_colliding_composites_rejected():
@@ -273,9 +331,22 @@ branch_sets = st.lists(
 
 
 @st.composite
-def branch_scenarios(draw):
+def branch_scenarios(draw, extended=False):
+    """Branches, normalized amplitudes, a policy and t_max.
+
+    With ``extended``, branches may share one post-halt label, so their
+    composite labels can collide; the last amplitude may sit at or below
+    the prune threshold; and the policy may be a CustomOrbit whose maps
+    can leave offsets uncovered.
+    """
     branches = draw(branch_sets)
     n = len(branches)
+    if extended and draw(st.booleans()):
+        branches = [
+            BranchSpec(id=b.id, orbit=b.orbit[: b.halt_step], halt_step=b.halt_step,
+                       post_halt_label="done")
+            for b in branches
+        ]
     raw = [
         draw(
             st.complex_numbers(
@@ -284,10 +355,22 @@ def branch_scenarios(draw):
         )
         for _ in range(n)
     ]
+    tiny = None
+    if extended and n >= 2 and draw(st.booleans()):
+        last = raw.pop()
+        tiny = last / abs(last) * draw(st.floats(0.0, 1e-15))
     norm = math.sqrt(math.fsum(abs(a) ** 2 for a in raw))
-    amps = [a / norm for a in raw]
+    amps = [a / norm for a in raw] + ([] if tiny is None else [tiny])
     use_permutation = draw(st.booleans())
-    if use_permutation:
+    if extended and draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        maps = {}
+        for b in branches:
+            if draw(st.booleans()):
+                values = rng.permutation(16)[: draw(st.integers(0, 12))]
+                maps[b.id] = {k: int(v) for k, v in enumerate(values)}
+        policy = AncillaPolicy.custom(maps)
+    elif use_permutation:
         perm_seed = draw(st.integers(0, 2**16))
         rng = np.random.default_rng(perm_seed)
         perms = {}
@@ -301,6 +384,12 @@ def branch_scenarios(draw):
         policy = AncillaPolicy.shared()
     t_max = draw(st.integers(0, 10))
     return branches, amps, policy, t_max
+
+
+@given(branch_scenarios(extended=True))
+@settings(max_examples=300, deadline=None)
+def test_steps_match_the_state_built_from_scratch(scenario):
+    _assert_matches_oracle(*scenario)
 
 
 @given(branch_scenarios())

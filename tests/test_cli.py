@@ -227,6 +227,20 @@ def test_interfere_writes_csv_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "scenario", ["scenario_equal_halt", "scenario_shared_unequal", "scenario_permuted"]
+)
+def test_interfere_output_matches_golden_bytes(capsys, scenario):
+    """``fixtures/golden`` holds recorded stdout: an output change must
+    come with a deliberate update of those files."""
+    code, out, err = run_cli(
+        capsys, "interfere", str(FIXTURES / f"{scenario}.json"), "--pair", "0,1"
+    )
+    golden = FIXTURES / "golden" / f"interfere_{scenario}.csv"
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("check", str(FIXTURES / "right_shift.json")),

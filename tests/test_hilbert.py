@@ -166,3 +166,17 @@ def test_norm_matches_self_inner_product(x):
     ip = inner_product(x, x)
     assert abs(ip.imag) < 1e-12
     assert math.isclose(ip.real, x.norm_squared(), rel_tol=1e-12, abs_tol=1e-12)
+
+
+@given(
+    st.dictionaries(
+        st.text(max_size=3),
+        st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False),
+        max_size=12,
+    )
+)
+@settings(max_examples=200)
+def test_norm_squared_equals_sorted_fsum_bit_for_bit(entries):
+    state = SparseState(entries)
+    in_label_order = math.fsum(abs(a) ** 2 for _, a in state.items())
+    assert state.norm_squared().hex() == in_label_order.hex()
