@@ -39,17 +39,11 @@ from .hilbert import (
     DensityMatrix,
     HilbertError,
     SparseState,
-    inner_product,
     reduced_density,
 )
 from .nogo import (
     GramReport,
-    HaltedSectorVectors,
-    HaltingCandidateVectors,
     PreconditionError,
-    check_gram_identities,
-    compute_Phi_vectors,
-    compute_Q_vectors,
     halting_mass_from_table,
     halting_witness_table,
     random_compliant_table,
@@ -57,7 +51,6 @@ from .nogo import (
 )
 from .qtm import (
     ComplianceReport,
-    Configuration,
     DimensionCapError,
     MachineDims,
     MachineError,
@@ -67,7 +60,6 @@ from .qtm import (
     check_global_unitarity,
     check_ozawa_compliance,
     right_shift_table,
-    step,
 )
 from .search import (
     SearchResult,

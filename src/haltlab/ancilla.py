@@ -23,7 +23,7 @@ from typing import Dict, Hashable, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .hilbert import SparseState, reduced_density
+from .hilbert import DensityMatrix, SparseState, reduced_density, sum_of_squares
 
 __all__ = [
     "BranchModelError",
@@ -241,8 +241,8 @@ def run_superposition(
     if len(branches) != len(amps) or not branches:
         raise BranchModelError("need one amplitude per branch, at least one branch")
     amps = tuple(complex(a) for a in amps)
-    total = math.fsum(abs(a) ** 2 for a in amps)
-    if not abs(total - 1.0) <= NORM_TOL:  # also rejects a NaN total
+    total = sum_of_squares(amps)
+    if not abs(total - 1.0) <= NORM_TOL:  # also rejects an inf or NaN total
         raise BranchModelError(f"amplitudes not normalized: sum |a|^2 = {total!r}")
     ids = [b.id for b in branches]
     if len(set(ids)) != len(ids):
@@ -284,6 +284,14 @@ def _split_computational(label):
     return comp, (halt, anc)
 
 
+def _density_entry(rho: DensityMatrix, row, col) -> complex:
+    """rho[row, col], read as zero where a branch pruned from the state
+    (amplitude at or below the prune threshold) left no row or column."""
+    if row in rho.labels and col in rho.labels:
+        return rho.entry(row, col)
+    return 0j
+
+
 def coherence(trace: RunTrace, t: int, i: int, j: int) -> complex:
     """Coefficient of |c_i(t)><c_j(t)| in the reduced computational state.
 
@@ -307,7 +315,7 @@ def coherence(trace: RunTrace, t: int, i: int, j: int) -> complex:
     labels = [trace.branch_label(k, t) for k in range(n)]
     if len(set(labels)) == n:
         rho = reduced_density(trace.state(t), _split_computational)
-        entry = rho.entry(labels[i], labels[j])
+        entry = _density_entry(rho, labels[i], labels[j])
         if abs(entry - value) > AGREEMENT_TOL:
             raise BranchModelError(
                 f"coherence formula and reduced density disagree at step {t}: "
@@ -394,9 +402,9 @@ def monitoring_effect(
         )
 
     rho = reduced_density(trace.state(t), _split_computational)
-    rho_ii = rho.entry(ci, ci).real
-    rho_jj = rho.entry(cj, cj).real
-    rho_ij = rho.entry(ci, cj)
+    rho_ii = _density_entry(rho, ci, ci).real
+    rho_jj = _density_entry(rho, cj, cj).real
+    rho_ij = _density_entry(rho, ci, cj)
 
     ti = trace.branches[i].halt_step
     tj = trace.branches[j].halt_step

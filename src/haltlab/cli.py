@@ -2,8 +2,11 @@
 
 Exit codes: 0 the command ran and every check passed, 1 a semantic check
 failed (non-unitary machine, compliance violation, failed residuals, no
-search restart within the unitarity bound), 2 a usage or parse error.  All
-output is a deterministic function of the arguments, input files and seed.
+search restart within the unitarity bound, a report figure that is not a
+finite number), 2 a usage or parse error.  All output is a deterministic
+function of the arguments, input files and seed.  Standard output is
+strict JSON or CSV: a report that would need ``Infinity`` or ``NaN`` is
+not printed, and one ``error:`` line on stderr names the cause instead.
 """
 
 from __future__ import annotations
@@ -103,8 +106,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(doc: dict, stream=None) -> None:
-    (stream or sys.stdout).write(json.dumps(doc, indent=2) + "\n")
+def _emit(doc: dict) -> None:
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        raise NonFiniteReport(
+            "report not printed: a figure in it is inf or NaN, which strict JSON cannot hold"
+        ) from None
+    sys.stdout.write(text + "\n")
 
 
 def _fmt(value: float) -> str:
@@ -259,6 +268,10 @@ class UsageError(Exception):
     """Bad argument combination detected after parsing."""
 
 
+class NonFiniteReport(Exception):
+    """A report figure overflowed to inf or NaN, so strict JSON cannot hold it."""
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -273,7 +286,7 @@ def main(argv=None) -> int:
     except (UsageError, FileNotFoundError, MachineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BranchModelError as exc:
+    except (BranchModelError, NonFiniteReport) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .ancilla import AncillaPolicy, BranchSpec, PolicyError
+from .hilbert import sum_of_squares
 from .qtm import MachineDims, MachineError, TransitionTable
 
 __all__ = [
@@ -248,7 +249,7 @@ def loads_scenario(text: str) -> ScenarioDef:
     if not isinstance(amps_obj, list) or len(amps_obj) != len(branches):
         raise DocumentError("amps", f"expected {len(branches)} amplitude pairs")
     amps = [_complex_field(a, f"amps[{ai}]") for ai, a in enumerate(amps_obj)]
-    total = math.fsum(abs(a) ** 2 for a in amps)
+    total = sum_of_squares(amps)
     if abs(total - 1.0) > AMP_NORM_TOL:
         raise DocumentError("amps", f"sum |amp|^2 = {total!r}, outside 1 +- {AMP_NORM_TOL}")
     if abs(total - 1.0) > 1e-13:

@@ -20,7 +20,6 @@ __all__ = [
     "HilbertError",
     "SparseState",
     "DensityMatrix",
-    "inner_product",
     "reduced_density",
 ]
 
@@ -36,6 +35,18 @@ class HilbertError(ValueError):
     """Malformed state, label set or density matrix."""
 
 
+def sum_of_squares(amps: Iterable[complex]) -> float:
+    """Correctly rounded sum of |a|^2 over ``amps``, in any order.
+
+    Returns inf, instead of raising OverflowError, when a square or the
+    sum leaves the float range.
+    """
+    try:
+        return math.fsum(abs(a) ** 2 for a in amps)
+    except OverflowError:
+        return math.inf
+
+
 def _require_finite(amp: complex, label) -> None:
     if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):
         raise HilbertError(f"non-finite amplitude {amp!r} at label {label!r}")
@@ -45,7 +56,7 @@ class SparseState:
     """Immutable sparse vector: basis label -> complex amplitude.
 
     Repeated labels in the input accumulate; entries whose magnitude ends
-    up at or below ``prune`` are then dropped.
+    up at or below :data:`PRUNE_THRESHOLD` are then dropped.
     """
 
     __slots__ = ("_entries",)
@@ -53,7 +64,6 @@ class SparseState:
     def __init__(
         self,
         entries: Mapping[BasisLabel, complex] | Iterable[Tuple[BasisLabel, complex]] = (),
-        prune: float = PRUNE_THRESHOLD,
     ):
         data: dict = {}
         items = entries.items() if isinstance(entries, Mapping) else entries
@@ -62,7 +72,7 @@ class SparseState:
         for label in list(data):
             amp = data[label]
             _require_finite(amp, label)
-            if abs(amp) <= prune:
+            if abs(amp) <= PRUNE_THRESHOLD:
                 del data[label]
         self._entries = data
 
@@ -100,38 +110,15 @@ class SparseState:
         return label in self._entries
 
     def norm_squared(self) -> float:
-        # fsum is correctly rounded, so no sort is needed
-        return math.fsum(abs(a) ** 2 for a in self._entries.values())
+        return sum_of_squares(self._entries.values())
 
     def norm(self) -> float:
         return math.sqrt(self.norm_squared())
-
-    def scaled(self, factor: complex) -> "SparseState":
-        return SparseState((label, factor * amp) for label, amp in self.items())
-
-    def plus(self, other: "SparseState") -> "SparseState":
-        merged = list(self.items()) + list(other.items())
-        return SparseState(merged)
-
-    def minus(self, other: "SparseState") -> "SparseState":
-        return self.plus(other.scaled(-1.0))
-
-    def normalized(self) -> "SparseState":
-        n = self.norm()
-        if n == 0.0:
-            raise HilbertError("cannot normalize the zero state")
-        return self.scaled(1.0 / n)
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{l!r}: {a:.3g}" for l, a in self.items()[:4])
         tail = ", ..." if len(self) > 4 else ""
         return f"SparseState({{{shown}{tail}}})"
-
-
-def inner_product(x: SparseState, y: SparseState) -> complex:
-    """<x|y>, conjugate-linear in ``x`` and linear in ``y``."""
-    common = sorted(set(x.labels()) & set(y.labels()))
-    return complex(sum(x.amplitude(l).conjugate() * y.amplitude(l) for l in common))
 
 
 class DensityMatrix:

@@ -8,20 +8,23 @@ vectors and on the candidate halting vectors Phi+/Phi- extracted from the
 running sector, and the chain collapses every Phi to zero: a compliant
 unitary machine has no amplitude flowing from running to halted.
 
-This module extracts the Q/Phi vectors from a transition table, measures
-each identity's residual, certifies the conclusion numerically, and
-provides a randomized generator of compliant unitary tables plus the
-converse witness (a unitary machine that halts by breaking compliance).
+This module slices the Q and Phi vectors out of a transition table's
+tensor as arrays, measures each identity as one residual tensor over all
+its indices (16, 19, 22 on the halted sector; 26, 27, 28 between the
+halted sector and Phi), certifies the conclusion numerically, and provides
+a randomized generator of compliant unitary tables plus the converse
+witness (a unitary machine that halts by breaking compliance).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from .hilbert import sum_of_squares
 from .qtm import (
     MachineDims,
     MachineError,
@@ -34,13 +37,11 @@ from .qtm import (
 
 __all__ = [
     "PreconditionError",
-    "HaltedSectorVectors",
-    "HaltingCandidateVectors",
-    "GramIdentityResiduals",
     "GramReport",
-    "compute_Q_vectors",
-    "check_gram_identities",
-    "compute_Phi_vectors",
+    "halted_sector",
+    "halting_candidates",
+    "gram_residuals",
+    "cross_residuals",
     "verify_nogo",
     "halting_mass_from_table",
     "haar_unitary",
@@ -55,6 +56,10 @@ UNITARITY_TOL = 1e-12
 #: Minimum tape length for the no-go argument (distinct cells at offsets
 #: -2 .. +3 of the head are required).
 MIN_TAPE_CELLS = 6
+#: The identities the verifier checks, in report order.
+RESIDUALS = (
+    "residual_16", "residual_19", "residual_22", "residual_26", "residual_27", "residual_28"
+)
 
 
 class PreconditionError(ValueError):
@@ -64,57 +69,6 @@ class PreconditionError(ValueError):
         super().__init__(f"{check}: {detail}")
         self.check = check
         self.detail = detail
-
-
-@dataclass(frozen=True)
-class HaltedSectorVectors:
-    """Head-state vectors of the halted sector for one scanned symbol.
-
-    ``qplus[j, q]`` is the amplitude of outcome (q, move +1) from key
-    (q_j, scanned_symbol, halt=1); ``qminus`` holds the move -1 block.
-    """
-
-    scanned_symbol: int
-    qplus: np.ndarray
-    qminus: np.ndarray
-
-    def __post_init__(self):
-        self.qplus.flags.writeable = False
-        self.qminus.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class HaltingCandidateVectors:
-    """Head-state vectors of running-to-halted outcomes for one source key.
-
-    ``phiplus[mu, q]`` is the amplitude of outcome (q, written symbol mu,
-    move +1, halt'=1) from key (source_state, source_symbol, halt=0);
-    ``phiminus`` holds the move -1 block.  The running remainder of the
-    evolution plays no role in the argument and is not extracted.
-    """
-
-    source_state: int
-    source_symbol: int
-    phiplus: np.ndarray
-    phiminus: np.ndarray
-
-    def __post_init__(self):
-        self.phiplus.flags.writeable = False
-        self.phiminus.flags.writeable = False
-
-    def mass(self) -> float:
-        """Total squared halting amplitude carried by this key."""
-        return float(np.sum(np.abs(self.phiplus) ** 2) + np.sum(np.abs(self.phiminus) ** 2))
-
-
-@dataclass(frozen=True)
-class GramIdentityResiduals:
-    """Residuals of the halted-sector identities for one scanned symbol."""
-
-    residual_16: float
-    residual_19: float
-    residual_22: float
-    worst: Mapping[str, Tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -169,76 +123,91 @@ def _require_compliance(table: TransitionTable) -> None:
         )
 
 
-def compute_Q_vectors(table: TransitionTable, scanned_symbol: int) -> HaltedSectorVectors:
-    """Extract the halted-sector vectors for one scanned symbol.
+def halted_sector(table: TransitionTable) -> Tuple[np.ndarray, np.ndarray]:
+    """Halted-sector head vectors ``(qplus, qminus)``, each (S, M, M).
 
+    ``qplus[xi, j, q']`` is the amplitude of outcome (q', xi, move +1,
+    halt' 1) from key (q_j, xi, 1); ``qminus`` holds the move -1 block.
     The rules are position-free, so the vectors do not depend on where the
     head sits.  Requires a compliant table: only then is the halted sector
     confined to (head state, move) outcomes.
     """
-    if not (0 <= scanned_symbol < table.dims.S):
-        raise MachineError(f"scanned symbol {scanned_symbol} out of range")
     _require_compliance(table)
-    # keys (j, xi, 1) -> outcomes (q', xi, move, 1), as [j, q']
-    halted = table.by_key[:, scanned_symbol, 1, :, scanned_symbol, :, 1]
-    return HaltedSectorVectors(
-        scanned_symbol=scanned_symbol, qplus=halted[..., 1].copy(), qminus=halted[..., 0].copy()
-    )
+    xi = np.arange(table.dims.S)
+    # keys (j, xi, 1) -> outcomes (q', xi, move, 1), as [xi, j, q', move]
+    halted = table.by_key[:, xi, 1, :, xi, :, 1]
+    return halted[..., 1], halted[..., 0]
 
 
-def _first_argmax(matrix: np.ndarray) -> Tuple[int, int]:
-    # np.argmax scans row-major, i.e. lexicographic (j, k): ties resolve
-    # to the first index pair.
-    flat = int(np.argmax(matrix))
-    return flat // matrix.shape[1], flat % matrix.shape[1]
+def halting_candidates(table: TransitionTable) -> Tuple[np.ndarray, np.ndarray]:
+    """Running-to-halted head vectors ``(phiplus, phiminus)``, each (M, S, S, M).
 
-
-def check_gram_identities(qv: HaltedSectorVectors) -> GramIdentityResiduals:
-    """Residuals of the three halted-sector identities.
-
-    With rows as vectors: <Q+_j|Q+_k> + <Q-_j|Q-_k> must be the identity,
-    <Q-_j|Q+_k> must vanish, and the sums E_k = Q+_k + Q-_k must again be
-    orthonormal.
+    ``phiplus[q0, eta, mu, q']`` is the amplitude of outcome (q', mu,
+    move +1, halt' 1) from key (q0, eta, 0); ``phiminus`` holds the move -1
+    block.  The running remainder of the evolution plays no role in the
+    argument and is not extracted.
     """
-    gp = qv.qplus.conj() @ qv.qplus.T
-    gm = qv.qminus.conj() @ qv.qminus.T
-    eye = np.eye(gp.shape[0])
+    # keys (q0, eta, 0) -> outcomes (q', mu, move, 1), as [q0, eta, mu, q', move]
+    halting = table.by_key[:, :, 0, :, :, :, 1].transpose(0, 1, 3, 2, 4)
+    return halting[..., 1], halting[..., 0]
 
-    dev16 = np.abs(gp + gm - eye)
-    cross = qv.qminus.conj() @ qv.qplus.T
-    dev19 = np.abs(cross)
-    e_vecs = qv.qplus + qv.qminus
-    dev22 = np.abs(e_vecs.conj() @ e_vecs.T - eye)
 
-    return GramIdentityResiduals(
-        residual_16=float(dev16.max()),
-        residual_19=float(dev19.max()),
-        residual_22=float(dev22.max()),
-        worst={
-            "residual_16": _first_argmax(dev16),
-            "residual_19": _first_argmax(dev19),
-            "residual_22": _first_argmax(dev22),
-        },
+def gram_residuals(
+    qplus: np.ndarray, qminus: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entrywise residuals of identities 16, 19 and 22, indexed [..., j, k].
+
+    With the last axis as the vector index and any leading axes batched:
+    <Q+_j|Q+_k> + <Q-_j|Q-_k> must be the identity (16), <Q-_j|Q+_k> must
+    vanish (19), and the sums E_k = Q+_k + Q-_k must again be orthonormal
+    (22).
+    """
+
+    def overlaps(x, y):
+        return x.conj() @ np.swapaxes(y, -1, -2)
+
+    eye = np.eye(qplus.shape[-2])
+    e_vecs = qplus + qminus
+    return (
+        np.abs(overlaps(qplus, qplus) + overlaps(qminus, qminus) - eye),
+        np.abs(overlaps(qminus, qplus)),
+        np.abs(overlaps(e_vecs, e_vecs) - eye),
     )
 
 
-def compute_Phi_vectors(
-    table: TransitionTable, source_state: int, source_symbol: int
-) -> HaltingCandidateVectors:
-    """Extract the running-to-halted vectors of key (source_state, source_symbol, 0)."""
-    d = table.dims
-    if not (0 <= source_state < d.M and 0 <= source_symbol < d.S):
-        raise MachineError(
-            f"key ({source_state}, {source_symbol}, 0) outside dims {d}"
-        )
-    # outcomes (q', sigma', move, 1), as [sigma', q']
-    halting = table.by_key[source_state, source_symbol, 0, :, :, :, 1].transpose(1, 0, 2)
-    return HaltingCandidateVectors(
-        source_state=source_state,
-        source_symbol=source_symbol,
-        phiplus=halting[..., 1].copy(),
-        phiminus=halting[..., 0].copy(),
+def cross_residuals(
+    qplus: np.ndarray, qminus: np.ndarray, phiplus: np.ndarray, phiminus: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Residuals of identities 26, 27 and 28, indexed [nu, eta, q0, j].
+
+    Each pairs the halted sector scanning symbol nu with the halting
+    vectors written as symbol nu: <Q+_j|Phi+> + <Q-_j|Phi-> (26),
+    <Q-_j|Phi+> (27) and <Q+_j|Phi-> (28) must all vanish.
+    """
+
+    def overlaps(q, phi):
+        return np.einsum("vjq,aevq->veaj", q.conj(), phi)
+
+    return (
+        np.abs(overlaps(qplus, phiplus) + overlaps(qminus, phiminus)),
+        np.abs(overlaps(qminus, phiplus)),
+        np.abs(overlaps(qplus, phiminus)),
     )
+
+
+def _worst_cases(residuals: Sequence[np.ndarray]) -> Tuple[Dict[str, float], Dict[str, tuple]]:
+    """Each residual tensor's maximum and worst index, named as in :data:`RESIDUALS`.
+
+    The worst index is the first in C (lexicographic) order that attains
+    the maximum; a tensor whose maximum is zero has none.
+    """
+    peaks = {name: float(r.max()) for name, r in zip(RESIDUALS, residuals)}
+    worst = {
+        name: tuple(int(i) for i in np.unravel_index(np.argmax(r), r.shape))
+        for name, r in zip(RESIDUALS, residuals)
+        if peaks[name] > 0.0
+    }
+    return peaks, worst
 
 
 def verify_nogo(table: TransitionTable, tol: float = 1e-10) -> GramReport:
@@ -247,14 +216,15 @@ def verify_nogo(table: TransitionTable, tol: float = 1e-10) -> GramReport:
     Preconditions (raised as :class:`PreconditionError` naming the check):
     the table must pass the compliance check and global unitarity at 1e-12,
     and the tape must have at least 6 cells so the argument's cell offsets
-    are distinct.  The scan runs over all scanned symbols, source keys and
-    written symbols; each residual is the worst case, and ``worst`` names
-    the first maximizing index tuple in lexicographic order.
+    are distinct.  Each identity is one residual tensor over all scanned
+    symbols, source keys and written symbols; each reported residual is its
+    maximum, and ``worst`` names the first maximizing index tuple in
+    lexicographic order, omitted when the maximum is zero.
     """
     d = table.dims
     if d.N < MIN_TAPE_CELLS:
         raise MachineError(f"no-go verification needs at least {MIN_TAPE_CELLS} tape cells")
-    _require_compliance(table)
+    qplus, qminus = halted_sector(table)
     unit = check_global_unitarity(table, tol=UNITARITY_TOL)
     if not unit.passed:
         raise PreconditionError(
@@ -262,74 +232,23 @@ def verify_nogo(table: TransitionTable, tol: float = 1e-10) -> GramReport:
             f"max deviation {unit.max_deviation:.3e} exceeds {UNITARITY_TOL:.0e}",
         )
 
-    halted = {xi: compute_Q_vectors(table, xi) for xi in range(d.S)}
-
-    res16 = res19 = res22 = 0.0
-    worst: Dict[str, tuple] = {}
-    for xi in range(d.S):
-        ident = check_gram_identities(halted[xi])
-        if ident.residual_16 > res16:
-            res16 = ident.residual_16
-            worst["residual_16"] = (xi, *ident.worst["residual_16"])
-        if ident.residual_19 > res19:
-            res19 = ident.residual_19
-            worst["residual_19"] = (xi, *ident.worst["residual_19"])
-        if ident.residual_22 > res22:
-            res22 = ident.residual_22
-            worst["residual_22"] = (xi, *ident.worst["residual_22"])
-
-    candidates = {
-        (q0, eta): compute_Phi_vectors(table, q0, eta)
-        for q0 in range(d.M)
-        for eta in range(d.S)
-    }
-
-    # Cross identities pair the halted sector scanning symbol nu with the
-    # Phi block written as symbol nu; iterate (nu, eta, q0, j) so strict
-    # improvements land on the lexicographically first worst case.
-    res26 = res27 = res28 = 0.0
-    for nu in range(d.S):
-        qv = halted[nu]
-        for eta in range(d.S):
-            for q0 in range(d.M):
-                phi = candidates[(q0, eta)]
-                for j in range(d.M):
-                    v26 = abs(
-                        np.vdot(qv.qplus[j], phi.phiplus[nu])
-                        + np.vdot(qv.qminus[j], phi.phiminus[nu])
-                    )
-                    v27 = abs(np.vdot(qv.qminus[j], phi.phiplus[nu]))
-                    v28 = abs(np.vdot(qv.qplus[j], phi.phiminus[nu]))
-                    if v26 > res26:
-                        res26 = v26
-                        worst["residual_26"] = (nu, eta, q0, j)
-                    if v27 > res27:
-                        res27 = v27
-                        worst["residual_27"] = (nu, eta, q0, j)
-                    if v28 > res28:
-                        res28 = v28
-                        worst["residual_28"] = (nu, eta, q0, j)
-
-    mass = math.fsum(candidates[key].mass() for key in sorted(candidates))
-    max_res = max(res16, res19, res22, res26, res27, res28)
+    peaks, worst = _worst_cases(
+        gram_residuals(qplus, qminus)
+        + cross_residuals(qplus, qminus, *halting_candidates(table))
+    )
+    mass = halting_mass_from_table(table)
     return GramReport(
-        residual_16=res16,
-        residual_19=res19,
-        residual_22=res22,
-        residual_26=res26,
-        residual_27=res27,
-        residual_28=res28,
+        **peaks,
         halting_mass=mass,
         tol=tol,
-        passed=(max_res <= tol and mass <= tol),
+        passed=(max(peaks.values()) <= tol and mass <= tol),
         worst=worst,
     )
 
 
 def halting_mass_from_table(table: TransitionTable) -> float:
     """Total squared running-to-halted amplitude, summed over all running keys."""
-    halting = table.amplitudes[halting_slots(table.dims)].tolist()
-    return math.fsum(abs(amp) ** 2 for amp in halting)
+    return sum_of_squares(table.amplitudes[halting_slots(table.dims)].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ sorted (q, sigma, halt) order and the move axis holding -1 before +1,
 plus a boolean ``support`` tensor of the same shape that marks the listed
 outcomes.  The outcome lists, the halted-sector compliance check and the
 global operator are all slices, masks or index arithmetic on that pair;
-the global operator is built without a loop over configurations, and
-:func:`step` keeps the per-configuration loop as its independent check.
+the global operator is built without a loop over configurations.  A
+configuration's index in the lexicographic (q, h, tape, halt) order, with
+the tape read as a base-S number, is its row and column of the operator.
 
 The tape is cyclic with N cells, which keeps the configuration space
 finite and makes unitarity of U exactly decidable.  Head moves are +1 or
@@ -24,25 +25,21 @@ from __future__ import annotations
 import math
 import types
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-
-from .hilbert import SparseState
 
 __all__ = [
     "DENSE_DIMENSION_CAP",
     "MachineError",
     "DimensionCapError",
     "MachineDims",
-    "Configuration",
     "RuleKey",
     "Outcome",
     "TransitionTable",
     "UnitarityReport",
     "ComplianceReport",
-    "step",
     "build_global_matrix",
     "sparse_global_matrix",
     "check_global_unitarity",
@@ -114,47 +111,10 @@ class MachineDims:
         return self.dim
 
 
-class Configuration(NamedTuple):
-    """One classical basis label: head state, position, tape, halt bit."""
-
-    q: int
-    h: int
-    tape: Tuple[int, ...]
-    halt: int
-
-
 #: (head state, scanned symbol, halt bit)
 RuleKey = Tuple[int, int, int]
 #: (new head state, written symbol, move in {-1, +1}, new halt bit, amplitude)
 Outcome = Tuple[int, int, int, int, complex]
-
-
-def validate_configuration(config, dims: MachineDims) -> Configuration:
-    if not isinstance(config, tuple) or len(config) != 4:
-        raise MachineError(f"not a configuration label: {config!r}")
-    q, h, tape, halt = config
-    if not (isinstance(q, int) and 0 <= q < dims.M):
-        raise MachineError(f"head state {q!r} out of range for M={dims.M}")
-    if not (isinstance(h, int) and 0 <= h < dims.N):
-        raise MachineError(f"head position {h!r} out of range for N={dims.N}")
-    if len(tape) != dims.N or any(not (isinstance(s, int) and 0 <= s < dims.S) for s in tape):
-        raise MachineError(f"tape {tape!r} invalid for S={dims.S}, N={dims.N}")
-    if halt not in (0, 1):
-        raise MachineError(f"halt bit {halt!r} must be 0 or 1")
-    return Configuration(q, h, tuple(tape), halt)
-
-
-def config_index(config: Configuration, dims: MachineDims) -> int:
-    """Position of ``config`` in the lexicographic enumeration.
-
-    The tape reads as a base-S number whose first cell is the most
-    significant digit.
-    """
-    q, h, tape, halt = config
-    code = 0
-    for sym in tape:
-        code = code * dims.S + sym
-    return ((q * dims.N + h) * dims.S**dims.N + code) * 2 + halt
 
 
 def rule_keys(dims: MachineDims) -> List[RuleKey]:
@@ -268,28 +228,6 @@ class TransitionTable:
     def __repr__(self) -> str:
         n_out = int(self.support.sum())
         return f"TransitionTable(dims={self.dims}, keys={self.support.shape[0]}, outcomes={n_out})"
-
-
-def step(state: SparseState, table: TransitionTable) -> SparseState:
-    """Apply the global one-step operator to a sparse state.
-
-    For each configuration the rule at (q, tape[h], halt) fires: the head
-    state, the scanned cell and the halt bit are rewritten and the head
-    moves by the outcome's move, cyclically.  Amplitudes accumulate
-    additively across interfering configurations.  This per-configuration
-    loop is the independent reference for :func:`sparse_global_matrix`.
-    """
-    d = table.dims
-    rules = table.rules
-    out: List[Tuple[Configuration, complex]] = []
-    for label, amp in state.items():
-        config = validate_configuration(label, d)
-        key = (config.q, config.tape[config.h], config.halt)
-        for q2, s2, move, h2, weight in rules[key]:
-            tape2 = config.tape[: config.h] + (s2,) + config.tape[config.h + 1 :]
-            target = Configuration(q2, (config.h + move) % d.N, tape2, h2)
-            out.append((target, amp * weight))
-    return SparseState(out)
 
 
 def operator_indices(dims: MachineDims) -> Tuple[np.ndarray, np.ndarray]:

@@ -49,6 +49,7 @@ from .qtm import (
 
 __all__ = [
     "FEASIBLE_DEVIATION",
+    "PENALTY_WEIGHTS",
     "TableParametrization",
     "SearchResult",
     "penalty_value_grad",
@@ -59,6 +60,10 @@ __all__ = [
 #: Largest certified unitarity deviation max|U^dag U - I| of a restart
 #: that may win the search (the acceptance bound of the search).
 FEASIBLE_DEVIATION = 1e-8
+
+#: Penalty weight lambda of each L-BFGS phase of a restart: 0.1, growing
+#: tenfold per phase, six phases.
+PENALTY_WEIGHTS = tuple(0.1 * 10.0**p for p in range(6))
 
 
 class TableParametrization:
@@ -318,15 +323,12 @@ def search_max_halting_mass(
     iterations: int,
     seed: int,
     ozawa_compliant: bool = True,
-    lambda0: float = 0.1,
-    lambda_growth: float = 10.0,
-    num_phases: int = 6,
 ) -> SearchResult:
     """Maximize halting mass over tables, penalizing unitarity violation.
 
-    Each restart runs L-BFGS through ``num_phases`` phases with the
-    penalty weight growing by ``lambda_growth`` per phase, then a final
-    feasibility polish (penalty only), then the polar projection/refit.
+    Each restart runs L-BFGS through one phase per penalty weight in
+    :data:`PENALTY_WEIGHTS`, then a final feasibility polish (penalty
+    only), then the polar projection/refit.
     Fully deterministic given ``seed``: restart r draws from
     ``default_rng([seed, r])``.  Restarts are independent; the winner is
     the feasible restart (certified deviation at most
@@ -340,9 +342,8 @@ def search_max_halting_mass(
         raise MachineError("iterations must be >= 1")
     dims.require_dense()
 
-    lambdas = [lambda0 * lambda_growth**p for p in range(num_phases)]
-    per_phase = max(1, iterations // (num_phases + 1))
-    polish_iters = max(1, iterations - num_phases * per_phase)
+    per_phase = max(1, iterations // (len(PENALTY_WEIGHTS) + 1))
+    polish_iters = max(1, iterations - len(PENALTY_WEIGHTS) * per_phase)
     mass_weight = 1.0
 
     candidates = []
@@ -360,8 +361,8 @@ def search_max_halting_mass(
             trace.append((counter[0], mass - lam * pen))
             counter[0] += 1
 
-        record(x, lambdas[0])
-        for lam in lambdas:
+        record(x, PENALTY_WEIGHTS[0])
+        for lam in PENALTY_WEIGHTS:
             res = scipy.optimize.minimize(
                 _objective,
                 x,
@@ -380,7 +381,7 @@ def search_max_halting_mass(
             args=(param, 1.0, 0.0),
             jac=True,
             method="L-BFGS-B",
-            callback=lambda xk: record(xk, lambdas[-1]),
+            callback=lambda xk: record(xk, PENALTY_WEIGHTS[-1]),
             options={"maxiter": polish_iters, "ftol": 0.0, "gtol": 1e-16, "maxcor": 30},
         )
         x = res.x

@@ -1,20 +1,113 @@
 """Independent oracles that tests compare the package against.
 
 Each function recomputes a quantity the package computes another way,
-by the most direct route available: the Gram matrix pair by pair, the
-halting mass from the global matrix, the unitarity penalty from the
-global product U^dag U, and every state of a branch superposition built
-and normed from scratch.  None of them is used by the package itself.
+by the most direct route available: the one-step operator configuration
+by configuration, inner products and the Gram matrix pair by pair, the
+no-go residuals vector pair by vector pair, the halting mass from the
+global matrix, the unitarity penalty from the global product U^dag U,
+and every state of a branch superposition built and normed from scratch.
+None of them is used by the package itself.
 """
 
-from typing import Sequence
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from haltlab.ancilla import NORM_TOL, AncillaPolicy, BranchModelError, BranchSpec
-from haltlab.hilbert import HilbertError, SparseState, inner_product
-from haltlab.qtm import MachineDims, TransitionTable, sparse_global_matrix
+from haltlab.hilbert import HilbertError, SparseState
+from haltlab.nogo import RESIDUALS
+from haltlab.qtm import (
+    MachineDims,
+    MachineError,
+    TransitionTable,
+    sparse_global_matrix,
+)
+
+
+class Configuration(NamedTuple):
+    """One classical basis label: head state, position, tape, halt bit."""
+
+    q: int
+    h: int
+    tape: Tuple[int, ...]
+    halt: int
+
+
+def validate_configuration(config, dims: MachineDims) -> Configuration:
+    if not isinstance(config, tuple) or len(config) != 4:
+        raise MachineError(f"not a configuration label: {config!r}")
+    q, h, tape, halt = config
+    if not (isinstance(q, int) and 0 <= q < dims.M):
+        raise MachineError(f"head state {q!r} out of range for M={dims.M}")
+    if not (isinstance(h, int) and 0 <= h < dims.N):
+        raise MachineError(f"head position {h!r} out of range for N={dims.N}")
+    if len(tape) != dims.N or any(not (isinstance(s, int) and 0 <= s < dims.S) for s in tape):
+        raise MachineError(f"tape {tape!r} invalid for S={dims.S}, N={dims.N}")
+    if halt not in (0, 1):
+        raise MachineError(f"halt bit {halt!r} must be 0 or 1")
+    return Configuration(q, h, tuple(tape), halt)
+
+
+def config_index(config: Configuration, dims: MachineDims) -> int:
+    """Position of ``config`` in the lexicographic enumeration.
+
+    The tape reads as a base-S number whose first cell is the most
+    significant digit.
+    """
+    q, h, tape, halt = config
+    code = 0
+    for sym in tape:
+        code = code * dims.S + sym
+    return ((q * dims.N + h) * dims.S**dims.N + code) * 2 + halt
+
+
+def step(state: SparseState, table: TransitionTable) -> SparseState:
+    """Apply the global one-step operator to a sparse state.
+
+    For each configuration the rule at (q, tape[h], halt) fires: the head
+    state, the scanned cell and the halt bit are rewritten and the head
+    moves by the outcome's move, cyclically.  Amplitudes accumulate
+    additively across interfering configurations.  This per-configuration
+    loop is the independent reference for
+    :func:`haltlab.qtm.sparse_global_matrix`.
+    """
+    d = table.dims
+    rules = table.rules
+    out: List[Tuple[Configuration, complex]] = []
+    for label, amp in state.items():
+        config = validate_configuration(label, d)
+        key = (config.q, config.tape[config.h], config.halt)
+        for q2, s2, move, h2, weight in rules[key]:
+            tape2 = config.tape[: config.h] + (s2,) + config.tape[config.h + 1 :]
+            target = Configuration(q2, (config.h + move) % d.N, tape2, h2)
+            out.append((target, amp * weight))
+    return SparseState(out)
+
+
+def scaled(state: SparseState, factor: complex) -> SparseState:
+    return SparseState((label, factor * amp) for label, amp in state.items())
+
+
+def plus(x: SparseState, y: SparseState) -> SparseState:
+    return SparseState(list(x.items()) + list(y.items()))
+
+
+def minus(x: SparseState, y: SparseState) -> SparseState:
+    return plus(x, scaled(y, -1.0))
+
+
+def normalized(state: SparseState) -> SparseState:
+    n = state.norm()
+    if n == 0.0:
+        raise HilbertError("cannot normalize the zero state")
+    return scaled(state, 1.0 / n)
+
+
+def inner_product(x: SparseState, y: SparseState) -> complex:
+    """<x|y>, conjugate-linear in ``x`` and linear in ``y``."""
+    common = sorted(set(x.labels()) & set(y.labels()))
+    return complex(sum(x.amplitude(l).conjugate() * y.amplitude(l) for l in common))
 
 
 def gram(vectors: Sequence[SparseState]) -> np.ndarray:
@@ -29,6 +122,51 @@ def gram(vectors: Sequence[SparseState]) -> np.ndarray:
             g[j, k] = val
             g[k, j] = val.conjugate()
     return g
+
+
+def nogo_residuals_by_loop(qplus, qminus, phiplus, phiminus):
+    """Residual tensors of identities 16-28 and their first worst indices.
+
+    Takes the arrays :func:`haltlab.nogo.halted_sector` and
+    :func:`haltlab.nogo.halting_candidates` return.  Identities 16, 19
+    and 22 are Gram matrices of one scanned symbol's vectors at a time;
+    26, 27 and 28 are measured one vector pair at a time with ``np.vdot``.
+    The worst-index scans run over (xi, j, k) and (nu, eta, q0, j) in
+    lexicographic order, and an index becomes the worst only when its value
+    strictly exceeds zero and every earlier value.
+    Returns ({name: tensor}, {name: worst index}).
+    """
+    s, m = qplus.shape[0], qplus.shape[1]
+    halted = np.zeros((3, s, m, m))
+    eye = np.eye(m)
+    for xi in range(s):
+        qp, qm = qplus[xi].copy(), qminus[xi].copy()
+        e_vecs = qp + qm
+        halted[:, xi] = (
+            np.abs(qp.conj() @ qp.T + qm.conj() @ qm.T - eye),
+            np.abs(qm.conj() @ qp.T),
+            np.abs(e_vecs.conj() @ e_vecs.T - eye),
+        )
+    cross = np.zeros((3, s, s, m, m))
+    for nu in range(s):
+        for eta in range(s):
+            for q0 in range(m):
+                for j in range(m):
+                    phi_p, phi_m = phiplus[q0, eta, nu], phiminus[q0, eta, nu]
+                    cross[:, nu, eta, q0, j] = (
+                        abs(np.vdot(qplus[nu, j], phi_p) + np.vdot(qminus[nu, j], phi_m)),
+                        abs(np.vdot(qminus[nu, j], phi_p)),
+                        abs(np.vdot(qplus[nu, j], phi_m)),
+                    )
+    tensors: Dict[str, np.ndarray] = dict(zip(RESIDUALS, [*halted, *cross]))
+    worst: Dict[str, tuple] = {}
+    for name, tensor in tensors.items():
+        peak = 0.0
+        for index in np.ndindex(tensor.shape):
+            if tensor[index] > peak:
+                peak = tensor[index]
+                worst[name] = index
+    return tensors, worst
 
 
 def halting_mass_from_matrix(matrix, dims: MachineDims) -> float:

@@ -31,15 +31,9 @@ from haltlab.nogo import (
     random_compliant_table,
     verify_nogo,
 )
-from haltlab.qtm import (
-    Configuration,
-    MachineDims,
-    build_global_matrix,
-    check_global_unitarity,
-    config_index,
-    step,
-)
+from haltlab.qtm import MachineDims, build_global_matrix, check_global_unitarity
 from haltlab.search import search_max_halting_mass
+from oracles import Configuration, config_index, step
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 PROOF_DIMS = MachineDims(2, 2, 6)

@@ -446,3 +446,12 @@ def test_monitoring_cannot_change_outcomes_without_coherence(scenario):
         for l in set(unmonitored) | set(monitored)
     )
     assert tv <= 1e-12
+
+
+def test_run_superposition_rejects_an_overflowing_amplitude():
+    branches = [
+        BranchSpec(id=0, orbit=("a", "done"), halt_step=1),
+        BranchSpec(id=1, orbit=("b", "done"), halt_step=1),
+    ]
+    with pytest.raises(BranchModelError, match="not normalized"):
+        run_superposition(branches, [1e200, 0.0], AncillaPolicy.shared(), t_max=2)

@@ -270,3 +270,63 @@ def test_module_entry_point_runs():
 
 def test_missing_subcommand_exits_2():
     assert main([]) == 2
+
+
+def _strict_json(text):
+    """Parse ``text`` as JSON that holds no Infinity, -Infinity or NaN."""
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _altered_fixture(tmp_path, name, alter):
+    doc = json.loads((FIXTURES / name).read_text())
+    alter(doc)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_interfere_reads_a_pruned_branch_as_zero(capsys, tmp_path):
+    # a branch at amplitude 1e-17 is pruned from every state, so the
+    # reduced density has no row for it; its coherence with branch 0 is
+    # the closed form a_0 * conj(a_2) while both still run, then 0
+    def add_pruned_branch(doc):
+        doc["branches"].append({"id": 3, "orbit": ["c0", "c1", "done3"], "halt_step": 2})
+        doc["amps"].append([1e-17, 0.0])
+
+    path = _altered_fixture(tmp_path, "scenario_permuted.json", add_pruned_branch)
+    code, out, err = run_cli(capsys, "interfere", path, "--pair", "0,2")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 9
+    for t, coh, delta in rows:
+        expected = 0.7071067811865476 * 1e-17 if int(t) < 2 else 0.0
+        assert float(coh) == pytest.approx(expected, rel=1e-15)
+        assert float(delta) == 0.0
+
+
+def test_interfere_overflowing_amplitude_is_a_parse_error(capsys, tmp_path):
+    def overflow(doc):
+        doc["amps"][0] = [1e200, 0.0]
+
+    path = _altered_fixture(tmp_path, "scenario_permuted.json", overflow)
+    code, out, err = run_cli(capsys, "interfere", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: amps:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("amp", [1e155, 1e200])
+def test_check_overflowing_deviation_prints_no_infinity(capsys, tmp_path, amp):
+    def overflow(doc):
+        doc["rules"][0]["out"][0]["amp"] = [amp, 0.0]
+
+    path = _altered_fixture(tmp_path, "right_shift.json", overflow)
+    code, out, err = run_cli(capsys, "check", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run_cli(capsys, "nogo", path)
+    assert code == 1
+    assert _strict_json(out)["precondition_failure"]["check"] == "global_unitarity"

@@ -1,4 +1,4 @@
-"""No-go machinery: Q/Phi extraction, Gram identities, verifier, generator."""
+"""No-go machinery: Q/Phi extraction, residual tensors, verifier, generator."""
 
 import math
 
@@ -7,12 +7,14 @@ import pytest
 
 from haltlab.hilbert import SparseState
 from haltlab.nogo import (
-    HaltedSectorVectors,
+    RESIDUALS,
     PreconditionError,
-    check_gram_identities,
-    compute_Phi_vectors,
-    compute_Q_vectors,
+    _worst_cases,
+    cross_residuals,
+    gram_residuals,
     haar_unitary,
+    halted_sector,
+    halting_candidates,
     halting_mass_from_table,
     halting_witness_table,
     random_compliant_table,
@@ -25,9 +27,10 @@ from haltlab.qtm import (
     build_global_matrix,
     check_global_unitarity,
     check_ozawa_compliance,
+    compliant_slots,
     right_shift_table,
 )
-from oracles import gram, halting_mass_from_matrix
+from oracles import gram, halting_mass_from_matrix, nogo_residuals_by_loop
 
 INV_SQRT2 = 2**-0.5
 
@@ -44,9 +47,10 @@ def _identity_halted_table(dims):
 
 def test_q_vectors_identity_sector():
     dims = MachineDims(2, 2, 6)
-    qv = compute_Q_vectors(_identity_halted_table(dims), scanned_symbol=0)
-    assert np.array_equal(qv.qplus, np.eye(2))
-    assert np.array_equal(qv.qminus, np.zeros((2, 2)))
+    qplus, qminus = halted_sector(_identity_halted_table(dims))
+    assert qplus.shape == qminus.shape == (dims.S, dims.M, dims.M)
+    assert np.array_equal(qplus[0], np.eye(2))
+    assert np.array_equal(qminus[0], np.zeros((2, 2)))
 
 
 def test_q_vectors_hadamard_sector():
@@ -57,19 +61,19 @@ def test_q_vectors_hadamard_sector():
         rules[(1, s, 0)] = [(1, s, 1, 0, 1.0)]
         rules[(0, s, 1)] = [(0, s, 1, 1, INV_SQRT2), (1, s, 1, 1, INV_SQRT2)]
         rules[(1, s, 1)] = [(0, s, 1, 1, INV_SQRT2), (1, s, 1, 1, -INV_SQRT2)]
-    qv = compute_Q_vectors(TransitionTable(dims, rules), scanned_symbol=1)
-    assert np.allclose(qv.qplus, np.array([[1, 1], [1, -1]]) * INV_SQRT2)
-    assert np.array_equal(qv.qminus, np.zeros((2, 2)))
-    ident = check_gram_identities(qv)
-    assert ident.residual_16 < 1e-15
-    assert ident.residual_19 == 0.0
-    assert ident.residual_22 < 1e-15
+    qplus, qminus = halted_sector(TransitionTable(dims, rules))
+    assert np.allclose(qplus[1], np.array([[1, 1], [1, -1]]) * INV_SQRT2)
+    assert np.array_equal(qminus[1], np.zeros((2, 2)))
+    res16, res19, res22 = gram_residuals(qplus[1], qminus[1])
+    assert res16.max() < 1e-15
+    assert res19.max() == 0.0
+    assert res22.max() < 1e-15
 
 
 def test_q_vectors_demand_compliance():
     dims = MachineDims(2, 2, 6)
     with pytest.raises(PreconditionError) as err:
-        compute_Q_vectors(halting_witness_table(dims), scanned_symbol=0)
+        halted_sector(halting_witness_table(dims))
     assert err.value.check == "ozawa_compliance"
 
 
@@ -77,22 +81,21 @@ def test_gram_identities_catch_non_unitary_sector():
     # Q+_j = Q-_j = e_j / sqrt(2) satisfies the norm identity but not the
     # right/left orthogonality: such a sector cannot come from a unitary U
     half = np.eye(2) / math.sqrt(2.0)
-    ident = check_gram_identities(
-        HaltedSectorVectors(scanned_symbol=0, qplus=half, qminus=half)
-    )
-    assert ident.residual_16 < 1e-15
-    assert ident.residual_19 == pytest.approx(0.5)
-    assert ident.worst["residual_19"] == (0, 0)
+    residuals = gram_residuals(half, half)
+    peaks, worst = _worst_cases(residuals)
+    assert peaks["residual_16"] < 1e-15
+    assert peaks["residual_19"] == pytest.approx(0.5)
+    assert worst["residual_19"] == (0, 0)
 
 
 def test_gram_identity_residuals_for_random_compliant_table():
     dims = MachineDims(2, 2, 6)
     table = random_compliant_table(dims, np.random.default_rng(2))
-    for xi in range(dims.S):
-        ident = check_gram_identities(compute_Q_vectors(table, xi))
-        assert ident.residual_16 <= 1e-12
-        assert ident.residual_19 <= 1e-12
-        assert ident.residual_22 <= 1e-12
+    res16, res19, res22 = gram_residuals(*halted_sector(table))
+    assert res16.shape == (dims.S, dims.M, dims.M)
+    assert res16.max() <= 1e-12
+    assert res19.max() <= 1e-12
+    assert res22.max() <= 1e-12
 
 
 def test_e_vector_residual_triangle_bound():
@@ -101,38 +104,122 @@ def test_e_vector_residual_triangle_bound():
     rng = np.random.default_rng(17)
     for _ in range(50):
         m = int(rng.integers(1, 5))
-        qv = HaltedSectorVectors(
-            scanned_symbol=0,
-            qplus=rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)),
-            qminus=rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)),
+        res16, res19, res22 = gram_residuals(
+            rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)),
+            rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)),
         )
-        ident = check_gram_identities(qv)
-        bound = 4.0 * max(ident.residual_16, ident.residual_19)
-        assert ident.residual_22 <= bound + 1e-12
+        bound = 4.0 * max(res16.max(), res19.max())
+        assert res22.max() <= bound + 1e-12
 
 
 def test_phi_vectors_zero_without_halting_outcomes():
     dims = MachineDims(2, 2, 6)
-    phi = compute_Phi_vectors(right_shift_table(dims), source_state=0, source_symbol=1)
-    assert phi.mass() == 0.0
+    phiplus, phiminus = halting_candidates(right_shift_table(dims))
+    assert phiplus.shape == phiminus.shape == (dims.M, dims.S, dims.S, dims.M)
+    assert not phiplus[0, 1].any() and not phiminus[0, 1].any()
 
 
 def test_phi_vectors_single_halting_outcome():
     dims = MachineDims(2, 2, 6)
     rules = {k: list(v) for k, v in right_shift_table(dims).rules.items()}
     rules[(0, 1, 0)] = rules[(0, 1, 0)] + [(0, 0, 1, 1, 0.3)]
-    phi = compute_Phi_vectors(TransitionTable(dims, rules), 0, 1)
+    phiplus, phiminus = halting_candidates(TransitionTable(dims, rules))
     expected = np.zeros((2, 2), dtype=complex)
     expected[0, 0] = 0.3
-    assert np.array_equal(phi.phiplus, expected)
-    assert np.array_equal(phi.phiminus, np.zeros((2, 2)))
-    assert phi.mass() == pytest.approx(0.09)
+    assert np.array_equal(phiplus[0, 1], expected)
+    assert np.array_equal(phiminus[0, 1], np.zeros((2, 2)))
+    mass = np.sum(np.abs(phiplus[0, 1]) ** 2) + np.sum(np.abs(phiminus[0, 1]) ** 2)
+    assert mass == pytest.approx(0.09)
 
 
-def test_phi_vectors_validate_key():
-    dims = MachineDims(2, 2, 6)
-    with pytest.raises(MachineError):
-        compute_Phi_vectors(right_shift_table(dims), source_state=7, source_symbol=0)
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _norms(x):
+    return np.sqrt(np.sum(np.abs(x) ** 2, axis=-1))
+
+
+def _rounding_bounds(qplus, qminus, phiplus, phiminus):
+    """How far two correct evaluations of each residual entry may differ.
+
+    Every entry is |<x|y> - delta| for vectors of length n <= 2M (identities
+    16 and 26 add two length-M products, which is one product of length
+    2M).  A computed complex inner product lies within
+    sqrt(2) * gamma_(n+2) * ||x|| ||y|| of the exact one, gamma_k =
+    k u / (1 - k u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 3.1 and 3.6, with Cauchy-Schwarz), and
+    subtracting delta and taking |.| round at most twice more, by
+    u (|value| + 1) each.  Two evaluations may sit on opposite sides.
+    Returns a function of (name, oracle tensor) giving the bound tensor.
+    """
+    m = qplus.shape[-1]
+    gamma = (2 * m + 2) * UNIT_ROUNDOFF / (1 - (2 * m + 2) * UNIT_ROUNDOFF)
+    # vector norms, as [xi, j] for the halted sector and [nu, eta, q0] for Phi
+    plus, minus = _norms(qplus), _norms(qminus)
+    both = np.hypot(plus, minus)
+    summed = _norms(qplus + qminus)
+    phi_plus = _norms(phiplus).transpose(2, 1, 0)
+    phi_minus = _norms(phiminus).transpose(2, 1, 0)
+    phi_both = np.hypot(phi_plus, phi_minus)
+    products = {
+        "residual_16": both[:, :, None] * both[:, None, :],
+        "residual_19": minus[:, :, None] * plus[:, None, :],
+        "residual_22": summed[:, :, None] * summed[:, None, :],
+        "residual_26": phi_both[..., None] * both[:, None, None, :],
+        "residual_27": phi_plus[..., None] * minus[:, None, None, :],
+        "residual_28": phi_minus[..., None] * plus[:, None, None, :],
+    }
+
+    def bound(name, value):
+        return 2.0 * (math.sqrt(2.0) * gamma * products[name] + 2 * UNIT_ROUNDOFF * (value + 1))
+
+    return bound
+
+
+def _assert_tensors_match_loop(table):
+    sector = halted_sector(table)
+    candidates = halting_candidates(table)
+    tensors = gram_residuals(*sector) + cross_residuals(*sector, *candidates)
+    expected, expected_worst = nogo_residuals_by_loop(*sector, *candidates)
+    bound = _rounding_bounds(*sector, *candidates)
+    for name, tensor in zip(RESIDUALS, tensors):
+        assert tensor.shape == expected[name].shape, name
+        assert np.all(np.abs(tensor - expected[name]) <= bound(name, expected[name])), name
+    assert _worst_cases(tensors)[1] == expected_worst
+
+
+def test_residual_tensors_match_the_vdot_loop_on_compliant_tables():
+    # most of these sizes are past the dense cap, where verify_nogo refuses
+    # to run, so the residual functions are called directly
+    for m in range(1, 7):
+        for s in range(1, 7):
+            table = random_compliant_table(MachineDims(m, s, 6), np.random.default_rng([m, s]))
+            _assert_tensors_match_loop(table)
+
+
+def test_residual_tensors_match_the_vdot_loop_on_arbitrary_compliant_slots():
+    rng = np.random.default_rng(5)
+    for m, s in [(1, 1), (1, 3), (2, 2), (3, 2), (2, 3), (4, 4), (5, 3)]:
+        dims = MachineDims(m, s, 6)
+        raw = rng.standard_normal(dims.table_shape) + 1j * rng.standard_normal(dims.table_shape)
+        _assert_tensors_match_loop(TransitionTable.from_tensor(dims, raw * compliant_slots(dims)))
+
+
+def test_verify_nogo_worst_matches_the_vdot_loop():
+    # includes tables where whole identities are exactly zero, which must
+    # name no worst index
+    tables = [right_shift_table(MachineDims(2, 2, 6)), _identity_halted_table(MachineDims(3, 2, 6))]
+    tables += [
+        random_compliant_table(MachineDims(m, 2, 6), np.random.default_rng([41, m, k]))
+        for m in (1, 2, 3, 4, 5)
+        for k in range(4)
+    ]
+    for table in tables:
+        report = verify_nogo(table)
+        expected, worst = nogo_residuals_by_loop(*halted_sector(table), *halting_candidates(table))
+        assert report.worst == worst
+        for name in RESIDUALS:
+            assert (getattr(report, name) == 0.0) == (expected[name].max() == 0.0)
 
 
 def test_verify_nogo_right_shift_all_zero():
@@ -194,12 +281,12 @@ def test_halted_sector_gram_via_sparse_states_is_identity():
     # Gram matrix with the generic vector engine
     dims = MachineDims(2, 2, 6)
     table = random_compliant_table(dims, np.random.default_rng(8))
+    qplus, qminus = halted_sector(table)
     for xi in range(dims.S):
-        qv = compute_Q_vectors(table, xi)
         vectors = [
             SparseState(
-                [(("plus", q), qv.qplus[j, q]) for q in range(dims.M)]
-                + [(("minus", q), qv.qminus[j, q]) for q in range(dims.M)]
+                [(("plus", q), qplus[xi, j, q]) for q in range(dims.M)]
+                + [(("minus", q), qminus[xi, j, q]) for q in range(dims.M)]
             )
             for j in range(dims.M)
         ]
