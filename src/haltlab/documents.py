@@ -8,6 +8,7 @@ loaded document reproduces it byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from .qtm import MachineDims, MachineError, TransitionTable
 
 __all__ = [
     "FORMAT_VERSION",
+    "MAX_T_MAX",
     "DocumentError",
     "ScenarioDef",
     "load_machine",
@@ -38,6 +40,10 @@ FORMAT_VERSION = 1
 #: exactly afterwards
 AMP_NORM_TOL = 1e-9
 
+#: largest ``t_max`` a scenario may ask for: the trace keeps every step's
+#: state, so an unbounded step count would grow memory without limit
+MAX_T_MAX = 10_000
+
 
 class DocumentError(ValueError):
     """Malformed document; ``location`` points at the offending field."""
@@ -55,12 +61,16 @@ def _need(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _int_field(obj: dict, key: str, path: str, minimum: int | None = None) -> int:
+def _int_field(
+    obj: dict, key: str, path: str, minimum: int | None = None, maximum: int | None = None
+) -> int:
     val = _need(obj, key, path)
     if not isinstance(val, int) or isinstance(val, bool):
         raise DocumentError(f"{path}.{key}", f"expected an integer, got {val!r}")
     if minimum is not None and val < minimum:
         raise DocumentError(f"{path}.{key}", f"must be >= {minimum}, got {val}")
+    if maximum is not None and val > maximum:
+        raise DocumentError(f"{path}.{key}", f"must be <= {maximum}, got {val}")
     return val
 
 
@@ -71,7 +81,10 @@ def _complex_field(val, path: str) -> complex:
         or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in val)
     ):
         raise DocumentError(path, f"expected [re, im], got {val!r}")
-    z = complex(float(val[0]), float(val[1]))
+    try:
+        z = complex(float(val[0]), float(val[1]))
+    except OverflowError:  # an integer beyond the float range
+        raise DocumentError(path, "amplitude must be finite") from None
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DocumentError(path, "amplitude must be finite")
     return z
@@ -90,6 +103,8 @@ def _parse_json(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
+    except ValueError as exc:  # e.g. an integer literal past Python's digit limit
+        raise DocumentError("document", str(exc)) from None
     if not isinstance(doc, dict):
         raise DocumentError("document", "top level must be an object")
     return doc
@@ -139,6 +154,17 @@ def loads_machine(text: str) -> TransitionTable:
                 raise DocumentError(opath, "outcome target outside dims")
             outcomes.append((q2, sym2, move, halt2, amp))
         rules[(q, sym, halt)] = outcomes
+    if len(rules) < 2 * dims.M * dims.S:
+        # named here, before the table lists all 2*M*S keys, which a
+        # document with huge dims could not afford
+        missing = (
+            (q, sym, halt)  # sorted order, generated lazily
+            for q in range(dims.M)
+            for sym in range(dims.S)
+            for halt in (0, 1)
+            if (q, sym, halt) not in rules
+        )
+        raise DocumentError("rules", f"missing rule keys: {list(itertools.islice(missing, 4))}")
 
     try:
         return TransitionTable(dims, rules)
@@ -289,7 +315,7 @@ def loads_scenario(text: str) -> ScenarioDef:
     except PolicyError as exc:
         raise DocumentError("policy", str(exc)) from None
 
-    t_max = _int_field(doc, "t_max", "document", 0)
+    t_max = _int_field(doc, "t_max", "document", 0, MAX_T_MAX)
     return ScenarioDef(branches=tuple(branches), amps=amps, policy=policy, t_max=t_max)
 
 

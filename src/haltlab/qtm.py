@@ -104,6 +104,14 @@ class MachineDims:
         return (2 * self.M * self.S, self.M, self.S, 2, 2)
 
     def require_dense(self) -> int:
+        # dim < 2**bits; past 3000 bits dim is far above the cap and may be
+        # too long to compute or print, so it is named by its factors
+        bits = (2 * self.M * self.N).bit_length() + self.N * self.S.bit_length()
+        if bits > 3000:
+            raise DimensionCapError(
+                f"dimension {self.M}*{self.N}*{self.S}**{self.N}*2 exceeds dense cap "
+                f"{DENSE_DIMENSION_CAP}"
+            )
         if self.dim > DENSE_DIMENSION_CAP:
             raise DimensionCapError(
                 f"dimension {self.dim} exceeds dense cap {DENSE_DIMENSION_CAP}"

@@ -18,9 +18,14 @@ refit of the table tensor read off one representative column per key.
 Where the polar factor is not exactly of local-rule form, the leftover
 is reported as the projection residual.  Because the operator comes from
 local rules, its nonzero pattern splits into many small independent
-blocks, and the polar factor is computed exactly as one small SVD per
-block.  Only restarts whose certified unitarity deviation is within
-:data:`FEASIBLE_DEVIATION` may win the search.
+blocks, and most of them repeat along the tape.  The polar factor is
+computed exactly and kept only as its blocks: blocks of one size form
+one stack, and one SVD serves every block with the same bytes, so no
+dense polar matrix is formed.  Only restarts whose certified unitarity
+deviation is within :data:`FEASIBLE_DEVIATION` may win the search.  A
+restart that ends above it is rescued for up to :data:`RESCUE_ROUNDS`
+rounds: key columns whose squared norm is off 1 are redrawn and the
+table is polished and projected again.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ from .qtm import (
 __all__ = [
     "FEASIBLE_DEVIATION",
     "PENALTY_WEIGHTS",
+    "RESCUE_ROUNDS",
     "TableParametrization",
     "SearchResult",
     "penalty_value_grad",
@@ -60,6 +66,11 @@ __all__ = [
 #: Largest certified unitarity deviation max|U^dag U - I| of a restart
 #: that may win the search (the acceptance bound of the search).
 FEASIBLE_DEVIATION = 1e-8
+
+#: Most rescue rounds of a restart whose certified deviation is above
+#: :data:`FEASIBLE_DEVIATION`.  A round redraws every key column whose
+#: squared norm is off 1 by more than that bound and polishes again.
+RESCUE_ROUNDS = 3
 
 #: Penalty weight lambda of each L-BFGS phase of a restart: 0.1, growing
 #: tenfold per phase, six phases.
@@ -179,8 +190,14 @@ def _mass_and_penalty(x, param):
     return mass, pen
 
 
-def _polar_factor(matrix: np.ndarray) -> np.ndarray:
-    """Closest unitary matrix in Frobenius norm (polar decomposition via SVD).
+#: One block size of a polar factor: ``rows`` and ``cols`` of shape (k, n)
+#: and ``polar`` of shape (k, n, n), so that block b of the factor is
+#: ``polar[b]`` at rows ``rows[b]`` and columns ``cols[b]``.
+PolarBlocks = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _polar_factor(matrix: np.ndarray) -> List[PolarBlocks]:
+    """Closest unitary matrix in Frobenius norm, as its nonzero blocks.
 
     Exact block by block.  Rows and columns are split into the connected
     components of the bipartite graph joining row i to column j wherever
@@ -189,8 +206,14 @@ def _polar_factor(matrix: np.ndarray) -> np.ndarray:
     included) joins one remainder block, which is square because the
     matrix is.  Up to a permutation of rows and of columns the matrix is
     the direct sum of these blocks, so its polar factor is the direct sum
-    of theirs: ``left @ right`` of each block's SVD written in place.  A
-    fully coupled matrix is one block, a single dense SVD.
+    of theirs, ``left @ right`` of each block's SVD, and zero elsewhere.
+    Each block lists its rows and its columns in increasing order.
+
+    The blocks of one size are gathered into one stack.  Blocks with the
+    same bytes (translates of one local pattern along the tape) share one
+    SVD, so the result is bit for bit what a separate SVD per block gives.
+    Returns one :data:`PolarBlocks` per block size; a fully coupled matrix
+    is one block, a single dense SVD.
     """
     size = matrix.shape[0]
     pattern = sp.csr_matrix(matrix != 0)
@@ -202,41 +225,45 @@ def _polar_factor(matrix: np.ndarray) -> np.ndarray:
     row_block, col_block = block[row_labels], block[col_labels]
     row_order = np.argsort(row_block, kind="stable")
     col_order = np.argsort(col_block, kind="stable")
-    bounds = np.cumsum(np.bincount(row_block, minlength=count + 1))
+    sizes = np.bincount(row_block, minlength=count + 1)
+    starts = np.cumsum(sizes) - sizes
 
-    polar = np.zeros_like(matrix)
-    start = 0
-    for stop in bounds:
-        if stop > start:
-            rows = row_order[start:stop, None]
-            cols = col_order[start:stop]
-            left, _, right = np.linalg.svd(matrix[rows, cols])
-            polar[rows, cols] = left @ right
-        start = stop
-    return polar
+    groups = []
+    for n in np.unique(sizes[sizes > 0]):
+        take = starts[sizes == n, None] + np.arange(n)
+        rows, cols = row_order[take], col_order[take]
+        stack = matrix[rows[:, :, None], cols[:, None, :]]
+        raw = stack.reshape(len(stack), -1).view(np.dtype((np.void, n * n * stack.itemsize)))
+        _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+        left, _, right = np.linalg.svd(stack[first])
+        groups.append((rows, cols, (left @ right)[inverse.reshape(-1)]))
+    return groups
 
 
-def _escape_dead_columns(x: np.ndarray, param: TableParametrization, rng) -> np.ndarray:
-    """Reinflate near-zero key columns of the current iterate.
-
-    An all-zero column is an exact stationary point of the Frobenius
-    penalty, so gradient steps never revive it.  Dead columns are replaced
-    by a random direction inside their slot mask, orthogonalized against
-    the in-mask components of every other column.
-    """
+def _key_columns(x: np.ndarray, param: TableParametrization) -> np.ndarray:
+    """The iterate's table tensor, one flattened row per rule key."""
     n = param.num_slots
-    theta = x[:n] + 1j * x[n:]
-    v = param.tensor_from_theta(theta)
-    n_keys = len(param.keys)
-    flat = v.reshape(n_keys, -1)
-    norms = np.linalg.norm(flat, axis=1)
-    if norms.min() >= 0.5:
+    return param.tensor_from_theta(x[:n] + 1j * x[n:]).reshape(len(param.keys), -1)
+
+
+def _redraw_columns(
+    x: np.ndarray, param: TableParametrization, rng, redraw: np.ndarray
+) -> np.ndarray:
+    """Replace the key columns flagged in ``redraw`` by fresh random ones.
+
+    Each flagged column becomes a random unit direction inside its slot
+    mask, orthogonalized against the in-mask components of every column
+    that is not flagged.  This revives dead columns (an all-zero column is
+    an exact stationary point of the Frobenius penalty, so gradient steps
+    never revive it) and rescues restarts stuck off unitarity.
+    """
+    if not redraw.any():
         return x
-    for ki in range(n_keys):
-        if norms[ki] >= 0.5:
-            continue
+    flat = _key_columns(x, param)
+    n_keys = len(param.keys)
+    for ki in np.flatnonzero(redraw):
         mask_k = param.mask[ki].reshape(-1)
-        others = [flat[kj][mask_k] for kj in range(n_keys) if kj != ki and norms[kj] >= 0.5]
+        others = [flat[kj][mask_k] for kj in range(n_keys) if kj != ki and not redraw[kj]]
         basis = np.stack(others, axis=1) if others else None
         for _attempt in range(16):
             raw = rng.standard_normal(int(mask_k.sum())) + 1j * rng.standard_normal(
@@ -250,7 +277,7 @@ def _escape_dead_columns(x: np.ndarray, param: TableParametrization, rng) -> np.
                 flat[ki][:] = 0.0
                 flat[ki][mask_k] = raw / nrm
                 break
-    theta = param.theta_from_tensor(v)
+    theta = flat[param.mask.reshape(n_keys, -1)]
     return np.concatenate([theta.real, theta.imag])
 
 
@@ -260,24 +287,35 @@ def project_to_unitary_table(
     """Polar-project the global matrix and refit local rules.
 
     The polar factor of the dense global matrix is the nearest unitary,
-    computed exactly over the matrix's independent blocks (see
-    :func:`_polar_factor`); its local part is read off one representative
-    column per rule key, the key's first configuration (head at cell 0,
-    scanned symbol at cell 0, other cells blank), at the rows the table's
-    slots send it to.  Any entry the slot mask cannot carry is dropped,
-    and the max-abs difference between the polar factor and the refit
-    table's global matrix is returned as the projection residual (zero
-    when the refit is exact).
+    computed exactly over the matrix's independent blocks, grouped by
+    size with one SVD per distinct block (see :func:`_polar_factor`); no
+    dense polar matrix is formed.  Its local part is read off one
+    representative column per rule key, the key's first configuration
+    (head at cell 0, scanned symbol at cell 0, other cells blank), at the
+    rows the table's slots send it to.  Any entry the slot mask cannot
+    carry is dropped, and the max-abs difference between the polar factor
+    and the refit table's global matrix is returned as the projection
+    residual (zero when the refit is exact).
     """
     dims = table.dims
-    polar = _polar_factor(build_global_matrix(table))
+    groups = _polar_factor(build_global_matrix(table))
     param = TableParametrization(dims, ozawa_compliant)
 
     keys, rows = operator_indices(dims)
     first = np.unique(keys, return_index=True)[1]
-    local = polar[rows[first], first.reshape(-1, 1, 1, 1, 1)]
+    key_of = np.full(len(keys), -1)
+    key_of[first] = np.arange(len(first))
+    columns = np.zeros((len(keys), len(first)), dtype=complex)  # polar[:, first]
+    for block_rows, block_cols, polar in groups:
+        b, pos = np.nonzero(key_of[block_cols] >= 0)
+        columns[block_rows[b], key_of[block_cols[b, pos]][:, None]] = polar[b, :, pos]
+    local = columns[rows[first], np.arange(len(first)).reshape(-1, 1, 1, 1, 1)]
     refit = TransitionTable.from_tensor(dims, np.where(param.mask, local, 0))
-    residual = float(np.max(np.abs(polar - build_global_matrix(refit))))
+
+    difference = build_global_matrix(refit)
+    for block_rows, block_cols, polar in groups:
+        difference[block_rows[:, :, None], block_cols[:, None, :]] -= polar
+    residual = float(np.max(np.abs(difference)))
     return refit, residual
 
 
@@ -317,6 +355,33 @@ def _select_restart(candidates: Sequence[SearchResult]) -> SearchResult:
     return min(candidates, key=lambda c: c.best_unitarity_deviation)
 
 
+def _polish(x: np.ndarray, param: TableParametrization, iterations: int, record) -> np.ndarray:
+    """Feasibility polish: L-BFGS on the penalty alone, no mass term.
+
+    Grounds the iterate into the unitary-table manifold before the polar
+    projection; ``record`` logs each iterate into the objective trace.
+    """
+    res = scipy.optimize.minimize(
+        _objective,
+        x,
+        args=(param, 1.0, 0.0),
+        jac=True,
+        method="L-BFGS-B",
+        callback=lambda xk: record(xk, PENALTY_WEIGHTS[-1]),
+        options={"maxiter": iterations, "ftol": 0.0, "gtol": 1e-16, "maxcor": 30},
+    )
+    return res.x
+
+
+def _certify(x: np.ndarray, param: TableParametrization) -> Tuple[TransitionTable, float, float]:
+    """Projected refit table, projection residual and certified deviation."""
+    theta = x[: param.num_slots] + 1j * x[param.num_slots :]
+    refit, residual = project_to_unitary_table(
+        param.table_from_theta(theta), param.ozawa_compliant
+    )
+    return refit, residual, check_global_unitarity(refit).max_deviation
+
+
 def search_max_halting_mass(
     dims: MachineDims,
     restarts: int,
@@ -328,7 +393,12 @@ def search_max_halting_mass(
 
     Each restart runs L-BFGS through one phase per penalty weight in
     :data:`PENALTY_WEIGHTS`, then a final feasibility polish (penalty
-    only), then the polar projection/refit.
+    only), then the polar projection/refit.  A restart whose certified
+    deviation is above :data:`FEASIBLE_DEVIATION` then gets up to
+    :data:`RESCUE_ROUNDS` rescue rounds (redraw the key columns whose
+    squared norm is off 1 by more than that bound, polish and project
+    again) and keeps its least deviating round; the rescue polishes are
+    part of the trace.
     Fully deterministic given ``seed``: restart r draws from
     ``default_rng([seed, r])``.  Restarts are independent; the winner is
     the feasible restart (certified deviation at most
@@ -372,25 +442,24 @@ def search_max_halting_mass(
                 callback=lambda xk, lam=lam: record(xk, lam),
                 options={"maxiter": per_phase, "ftol": 1e-18, "gtol": 1e-14, "maxcor": 30},
             )
-            x = _escape_dead_columns(res.x, param, rng)
-        # feasibility polish: pure penalty, ground the iterate into the
-        # unitary-table manifold before the polar projection
-        res = scipy.optimize.minimize(
-            _objective,
-            x,
-            args=(param, 1.0, 0.0),
-            jac=True,
-            method="L-BFGS-B",
-            callback=lambda xk: record(xk, PENALTY_WEIGHTS[-1]),
-            options={"maxiter": polish_iters, "ftol": 0.0, "gtol": 1e-16, "maxcor": 30},
-        )
-        x = res.x
-
-        theta = x[: param.num_slots] + 1j * x[param.num_slots :]
-        raw_table = param.table_from_theta(theta)
-        refit, projection_residual = project_to_unitary_table(raw_table, ozawa_compliant)
+            norms = np.linalg.norm(_key_columns(res.x, param), axis=1)
+            x = _redraw_columns(res.x, param, rng, ~(norms >= 0.5))  # dead or NaN
+        x = _polish(x, param, polish_iters, record)
+        certified = _certify(x, param)
+        # rescue: a polished iterate can sit in a local minimum of the
+        # penalty where key columns share their unit norms; redraw those
+        # columns and polish again, keeping the least deviating round
+        for _round in range(RESCUE_ROUNDS):
+            if certified[2] <= FEASIBLE_DEVIATION:
+                break
+            norms = np.linalg.norm(_key_columns(x, param), axis=1)
+            off_unit = ~(np.abs(norms**2 - 1.0) <= FEASIBLE_DEVIATION)
+            if not off_unit.any():
+                break
+            x = _polish(_redraw_columns(x, param, rng, off_unit), param, polish_iters, record)
+            certified = min(certified, _certify(x, param), key=lambda c: c[2])
+        refit, projection_residual, deviation = certified
         mass = halting_mass_from_table(refit)
-        deviation = check_global_unitarity(refit).max_deviation
 
         candidates.append(
             SearchResult(

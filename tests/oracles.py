@@ -5,7 +5,9 @@ by the most direct route available: the one-step operator configuration
 by configuration, inner products and the Gram matrix pair by pair, the
 no-go residuals vector pair by vector pair, the halting mass from the
 global matrix, the unitarity penalty from the global product U^dag U,
-and every state of a branch superposition built and normed from scratch.
+the polar factor one block at a time into a dense matrix (and the
+search's projection read off it), and every state of a branch
+superposition built and normed from scratch.
 None of them is used by the package itself.
 """
 
@@ -13,6 +15,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from haltlab.ancilla import NORM_TOL, AncillaPolicy, BranchModelError, BranchSpec
 from haltlab.hilbert import HilbertError, SparseState
@@ -21,8 +24,11 @@ from haltlab.qtm import (
     MachineDims,
     MachineError,
     TransitionTable,
+    build_global_matrix,
+    operator_indices,
     sparse_global_matrix,
 )
+from haltlab.search import TableParametrization
 
 
 class Configuration(NamedTuple):
@@ -193,6 +199,58 @@ def global_frobenius_penalty(table: TransitionTable) -> float:
     u = sparse_global_matrix(table)
     gram = (u.getH() @ u) - sp.identity(u.shape[0], dtype=complex, format="csc")
     return float(np.sum(np.abs(gram.data) ** 2))
+
+
+def polar_factor_by_blocks(matrix: np.ndarray) -> np.ndarray:
+    """Dense polar factor of ``matrix``, one SVD per independent block.
+
+    The blocks are the connected components of the bipartite row/column
+    nonzero graph; components with unequal row and column counts join one
+    square remainder block.  Each block's ``left @ right`` is written into
+    a zero matrix, one block after another.  The reference for
+    :func:`haltlab.search._polar_factor`, which groups the blocks by size
+    and shares one SVD between blocks with the same bytes.
+    """
+    size = matrix.shape[0]
+    pattern = sp.csr_matrix(matrix != 0)
+    graph = sp.bmat([[None, pattern], [pattern.T, None]], format="csr")
+    count, labels = connected_components(graph, directed=False)
+    row_labels, col_labels = labels[:size], labels[size:]
+    square = np.bincount(row_labels, minlength=count) == np.bincount(col_labels, minlength=count)
+    block = np.where(square, np.arange(count), count)
+    row_block, col_block = block[row_labels], block[col_labels]
+    row_order = np.argsort(row_block, kind="stable")
+    col_order = np.argsort(col_block, kind="stable")
+    bounds = np.cumsum(np.bincount(row_block, minlength=count + 1))
+
+    polar = np.zeros_like(matrix)
+    start = 0
+    for stop in bounds:
+        if stop > start:
+            rows = row_order[start:stop, None]
+            cols = col_order[start:stop]
+            left, _, right = np.linalg.svd(matrix[rows, cols])
+            polar[rows, cols] = left @ right
+        start = stop
+    return polar
+
+
+def projection_by_dense_polar(table: TransitionTable, ozawa_compliant: bool):
+    """Refit table and residual of :func:`haltlab.search.project_to_unitary_table`.
+
+    Builds the dense polar factor with :func:`polar_factor_by_blocks`,
+    reads each key's representative column out of it, and takes the
+    max-abs difference to the refit table's dense global matrix.
+    """
+    dims = table.dims
+    polar = polar_factor_by_blocks(build_global_matrix(table))
+    keys, rows = operator_indices(dims)
+    first = np.unique(keys, return_index=True)[1]
+    local = polar[rows[first], first.reshape(-1, 1, 1, 1, 1)]
+    mask = TableParametrization(dims, ozawa_compliant).mask
+    refit = TransitionTable.from_tensor(dims, np.where(mask, local, 0))
+    residual = float(np.max(np.abs(polar - build_global_matrix(refit))))
+    return refit, residual
 
 
 def _composite(branch: BranchSpec, policy: AncillaPolicy, t: int):

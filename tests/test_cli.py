@@ -1,11 +1,16 @@
 """CLI contract: exit codes, determinism, CSV and report shapes."""
 
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haltlab.cli import main
 
@@ -141,6 +146,21 @@ def test_search_without_feasible_restart_exits_1(capsys):
     assert doc["best_unitarity_deviation"] > 1e-8
     assert {"best_mass", "best_projection_residual", "best_restart"} <= set(doc)
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seed", [2148, 12056, 30258])
+def test_search_rescues_a_restart_stuck_off_unitarity(capsys, seed):
+    # the polish of these restarts stops in a local minimum of the penalty
+    # where two halted-key columns share one unit of norm (deviation ~0.6);
+    # redrawing those columns and polishing again reaches a unitary table
+    code, out, err = run_cli(
+        capsys, "search", "--dims", "M=2,S=2,N=6", "--restarts", "1",
+        "--iterations", "500", "--seed", str(seed),
+    )
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["best_mass"] <= 1e-6
+    assert doc["best_unitarity_deviation"] <= 1e-8
 
 
 def test_search_zero_restarts_exits_2(capsys):
@@ -330,3 +350,69 @@ def test_check_overflowing_deviation_prints_no_infinity(capsys, tmp_path, amp):
     code, out, _ = run_cli(capsys, "nogo", path)
     assert code == 1
     assert _strict_json(out)["precondition_failure"]["check"] == "global_unitarity"
+
+
+def _numeric_leaves(node, path=()):
+    """Paths to every number in a JSON document."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            yield path
+        return
+    for key, child in items:
+        yield from _numeric_leaves(child, path + (key,))
+
+
+#: fixture -> the commands that read it
+FUZZ_FIXTURES = {
+    "right_shift.json": ("check", "nogo"),
+    "halt_flip_witness.json": ("check", "nogo"),
+    "halted_tape_writer.json": ("check", "nogo"),
+    "leaky_nonunitary.json": ("check", "nogo"),
+    "scenario_equal_halt.json": ("interfere",),
+    "scenario_permuted.json": ("interfere",),
+    "scenario_shared_unequal.json": ("interfere",),
+}
+#: huge, tiny, negative and out-of-range replacements for one number
+FUZZ_VALUES = (
+    0, 2, 3, 7, -1, -(2**63), 2**31, 2**64, 10**30, 10**400,
+    1e-300, 5e-324, -1e-300, 0.5, -0.5, 1e154, 1e200, 1.7e308, -1.7e308, True, "1", None,
+)
+
+
+@st.composite
+def _mutated_fixture(draw):
+    name = draw(st.sampled_from(sorted(FUZZ_FIXTURES)))
+    doc = json.loads((FIXTURES / name).read_text())
+    leaves = list(_numeric_leaves(doc))
+    for path in draw(st.lists(st.sampled_from(leaves), min_size=1, max_size=3, unique=True)):
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(st.sampled_from(FUZZ_VALUES))
+    return name, doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutated_fixture())
+def test_mutated_fixtures_exit_cleanly(case):
+    # every command ends with a documented exit code and, where it prints
+    # a report, strict JSON; an exception escaping main is a traceback
+    name, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / name
+        path.write_text(json.dumps(doc))
+        for command in FUZZ_FIXTURES[name]:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, str(path)])
+            assert code in (0, 1, 2)
+            if command == "interfere":
+                assert out.getvalue() == "" or out.getvalue().startswith("t,")
+            elif out.getvalue():
+                _strict_json(out.getvalue())
+            else:
+                assert code != 0 and err.getvalue().count("\n") == 1

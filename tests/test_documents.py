@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from haltlab.documents import (
+    MAX_T_MAX,
     DocumentError,
     dumps_machine,
     dumps_scenario,
@@ -144,6 +145,40 @@ def test_scenario_rejects_amp_count_mismatch():
     with pytest.raises(DocumentError) as err:
         loads_scenario(json.dumps(doc))
     assert err.value.location == "amps"
+
+
+def _altered(name, alter):
+    doc = json.loads((FIXTURES / name).read_text())
+    alter(doc)
+    return json.dumps(doc)
+
+
+def test_machine_with_huge_dims_names_its_first_missing_keys():
+    # the 2*M*S keys are never listed, so this returns at once
+    text = _altered("right_shift.json", lambda doc: doc["dims"].update(M=2**40))
+    with pytest.raises(DocumentError, match=r"^rules: missing rule keys: \[\(2, 0, 0\), "):
+        loads_machine(text)
+
+
+def test_amplitude_beyond_the_float_range_is_a_document_error():
+    def huge(doc):
+        doc["rules"][0]["out"][0]["amp"] = [10**400, 0]
+
+    with pytest.raises(DocumentError, match="amplitude must be finite"):
+        loads_machine(_altered("right_shift.json", huge))
+
+
+def test_integer_past_the_digit_limit_is_a_document_error():
+    text = (FIXTURES / "right_shift.json").read_text().replace('"M": 2', '"M": 1' + "0" * 5000)
+    with pytest.raises(DocumentError, match="^document: "):
+        loads_machine(text)
+
+
+def test_scenario_t_max_is_capped():
+    at_cap = loads_scenario(_altered("scenario_permuted.json", lambda d: d.update(t_max=MAX_T_MAX)))
+    assert at_cap.t_max == MAX_T_MAX
+    with pytest.raises(DocumentError, match=r"^document.t_max: must be <= 10000, got 10001$"):
+        loads_scenario(_altered("scenario_permuted.json", lambda d: d.update(t_max=MAX_T_MAX + 1)))
 
 
 def test_load_functions_read_files(tmp_path):

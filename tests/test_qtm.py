@@ -228,6 +228,16 @@ def test_dimension_cap_enforced():
         check_global_unitarity(table)
 
 
+def test_dimension_cap_names_a_huge_dimension_by_its_factors():
+    with pytest.raises(DimensionCapError, match=r"^dimension 98304 exceeds dense cap 4096$"):
+        MachineDims(1, 2, 12).require_dense()
+    # S**N is never formed for a tape this long
+    with pytest.raises(DimensionCapError, match=r"^dimension 1\*10{30}\*2\*\*10{30}\*2 exceeds"):
+        MachineDims(1, 2, 10**30).require_dense()
+    with pytest.raises(DimensionCapError, match="exceeds dense cap"):
+        MachineDims(10**1000, 1, 1).require_dense()
+
+
 def test_empty_outcome_list_flagged_as_nonunitary():
     dims = MachineDims(1, 1, 3)
     rules = {(0, 0, 0): [], (0, 0, 1): [(0, 0, 1, 1, 1.0)]}

@@ -25,8 +25,8 @@ from haltlab.search import (
     search_max_halting_mass,
 )
 from haltlab.search import _objective  # gradient check
-from haltlab.search import _polar_factor, _select_restart
-from oracles import global_frobenius_penalty
+from haltlab.search import _key_columns, _polar_factor, _polish, _redraw_columns, _select_restart
+from oracles import global_frobenius_penalty, polar_factor_by_blocks, projection_by_dense_polar
 
 
 def _perturbed_theta(dims, compliant, seed, scale=0.1):
@@ -147,10 +147,18 @@ def _polar_cases():
     }
 
 
+def _assemble(groups, size):
+    """The dense matrix whose blocks are ``groups``, zero elsewhere."""
+    polar = np.zeros((size, size), dtype=complex)
+    for rows, cols, blocks in groups:
+        polar[rows[:, :, None], cols[:, None, :]] = blocks
+    return polar
+
+
 @pytest.mark.parametrize("case", sorted(_polar_cases()))
 def test_block_polar_factor_matches_dense_svd(case):
     matrix = _polar_cases()[case]
-    polar = _polar_factor(matrix)
+    polar = _assemble(_polar_factor(matrix), matrix.shape[0])
     oracle, sing = _dense_polar(matrix)
     eye = np.eye(matrix.shape[0])
     assert np.max(np.abs(polar.conj().T @ polar - eye)) <= 1e-13
@@ -162,6 +170,124 @@ def test_block_polar_factor_matches_dense_svd(case):
     assert np.linalg.eigvalsh(herm).min() >= -1e-12 * sing[0]
     if sing[-1] > 1e-8 * sing[0]:  # nonsingular: the polar factor is unique
         assert np.max(np.abs(polar - oracle)) <= 1e-12
+
+
+def _search_iterates():
+    """Global matrices of search iterates at M=2, S=2, N=6: a start and a polished one."""
+    dims = MachineDims(2, 2, 6)
+    tables = {}
+    for compliant in (True, False):
+        param = TableParametrization(dims, compliant)
+        theta = param.random_theta(np.random.default_rng([5, compliant]))
+        x = np.concatenate([theta.real, theta.imag])
+        polished = _polish(x, param, 30, lambda xk, lam: None)
+        n = param.num_slots
+        mode = "compliant" if compliant else "no_ozawa"
+        tables[f"{mode}_start"] = (param.table_from_theta(theta), compliant)
+        tables[f"{mode}_polished"] = (
+            param.table_from_theta(polished[:n] + 1j * polished[n:]), compliant
+        )
+    return tables
+
+
+def _oracle_cases():
+    cases = dict(_polar_cases())
+    for name, (table, _) in _search_iterates().items():
+        cases[name] = build_global_matrix(table)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_oracle_cases()))
+def test_polar_factor_equals_the_block_loop_bit_for_bit(case):
+    matrix = _oracle_cases()[case]
+    groups = _polar_factor(matrix)
+    size = matrix.shape[0]
+    # every row and every column lies in exactly one block, in increasing order
+    for axis in (0, 1):
+        seen = np.concatenate([g[axis].reshape(-1) for g in groups])
+        assert np.array_equal(np.sort(seen), np.arange(size))
+        assert all(np.all(np.diff(g[axis], axis=1) > 0) for g in groups)
+    assert all(g[2].shape == (*g[0].shape, g[0].shape[1]) for g in groups)
+    assert _assemble(groups, size).tobytes() == polar_factor_by_blocks(matrix).tobytes()
+
+
+def test_blocks_one_ulp_apart_get_their_own_svd():
+    rng = np.random.default_rng(41)
+    block = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    nudged = block.copy()
+    nudged[1, 2] = np.nextafter(block[1, 2].real, np.inf) + 1j * block[1, 2].imag
+    matrix = np.zeros((9, 9), dtype=complex)
+    matrix[:3, :3] = block
+    matrix[3:6, 3:6] = nudged
+    matrix[6:, 6:] = block
+    oracle = polar_factor_by_blocks(matrix)
+    # the nudge reaches the polar factor, so merging the two would show
+    assert oracle[:3, :3].tobytes() != oracle[3:6, 3:6].tobytes()
+    assert oracle[:3, :3].tobytes() == oracle[6:, 6:].tobytes()
+    assert _assemble(_polar_factor(matrix), 9).tobytes() == oracle.tobytes()
+
+
+def _projection_cases():
+    dims = MachineDims(1, 2, 6)
+    rng = np.random.default_rng(29)
+    param = TableParametrization(dims, True)
+    support = rng.uniform(size=dims.table_shape) < 0.3
+    noise = rng.standard_normal(dims.table_shape) + 1j * rng.standard_normal(dims.table_shape)
+    zero_keys = random_compliant_table(dims, rng).amplitudes.copy()
+    zero_keys[1] = 0.0
+    cases = {
+        "search_start": param.table_from_theta(param.random_theta(rng)),
+        "right_shift": right_shift_table(dims),
+        "sparse_arbitrary": TransitionTable.from_tensor(dims, np.where(support, noise, 0.0)),
+        "zero_keys": TransitionTable.from_tensor(dims, zero_keys),
+    }
+    out = {
+        f"{name}_{'compliant' if c else 'no_ozawa'}": (table, c)
+        for name, table in cases.items()
+        for c in (True, False)
+    }
+    out.update(_search_iterates())
+    # at most two listed outcomes per key: the refit's global matrix has
+    # entries outside the polar factor's blocks, and the residual peaks there
+    dims = MachineDims(1, 2, 3)
+    rng = np.random.default_rng(362)
+    amps = np.zeros(dims.table_shape, dtype=complex)
+    flat = amps.reshape(dims.table_shape[0], -1)
+    for k in range(len(flat)):
+        n = rng.integers(0, 3)
+        slots = rng.choice(flat.shape[1], n, replace=False)
+        flat[k, slots] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    out["sparse_keys_no_ozawa"] = (TransitionTable.from_tensor(dims, amps), False)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(_projection_cases()))
+def test_projection_equals_the_dense_polar_route(case):
+    table, compliant = _projection_cases()[case]
+    refit, residual = project_to_unitary_table(table, compliant)
+    oracle_refit, oracle_residual = projection_by_dense_polar(table, compliant)
+    assert refit.amplitudes.tobytes() == oracle_refit.amplitudes.tobytes()
+    assert refit.support.tobytes() == oracle_refit.support.tobytes()
+    assert residual == oracle_residual
+
+
+@pytest.mark.parametrize("compliant", [True, False])
+def test_redrawn_columns_are_unit_and_orthogonal_to_the_kept_ones(compliant):
+    param, theta = _perturbed_theta(MachineDims(2, 2, 6), compliant, seed=17)
+    x = np.concatenate([theta.real, theta.imag])
+    assert _redraw_columns(x, param, None, np.zeros(len(param.keys), dtype=bool)) is x
+    redraw = np.zeros(len(param.keys), dtype=bool)
+    redraw[[1, 4, 5]] = True
+    before = _key_columns(x, param)
+    after = _key_columns(_redraw_columns(x, param, np.random.default_rng(3), redraw), param)
+    assert after[~redraw].tobytes() == before[~redraw].tobytes()
+    flat_mask = param.mask.reshape(len(param.keys), -1)
+    for ki in np.flatnonzero(redraw):
+        assert np.all(after[ki][~flat_mask[ki]] == 0)
+        assert np.linalg.norm(after[ki]) == pytest.approx(1.0, abs=1e-15)
+        kept = after[~redraw][:, flat_mask[ki]]
+        assert np.max(np.abs(kept.conj() @ after[ki][flat_mask[ki]])) <= 1e-12
+        assert not np.array_equal(after[ki], before[ki])
 
 
 def _candidate(restart, mass, deviation):
