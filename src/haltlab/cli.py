@@ -4,9 +4,13 @@ Exit codes: 0 the command ran and every check passed, 1 a semantic check
 failed (non-unitary machine, compliance violation, failed residuals, no
 search restart within the unitarity bound, a report figure that is not a
 finite number), 2 a usage or parse error.  All output is a deterministic
-function of the arguments, input files and seed.  Standard output is
-strict JSON or CSV: a report that would need ``Infinity`` or ``NaN`` is
-not printed, and one ``error:`` line on stderr names the cause instead.
+function of the arguments, input files and seed: its bytes for a fixed
+numpy/scipy/BLAS build, BLAS kernel and thread count; its exit code and
+decisions (``passed``, ``worst_sample``, ``best_restart``) on every
+kernel, except a ``best_restart`` between masses tied to the last ulp.
+Standard output is strict JSON or CSV: a report that would need
+``Infinity`` or ``NaN`` is not printed, and one ``error:`` line on
+stderr names the cause instead.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .documents import (
 from .nogo import (
     PreconditionError,
     random_compliant_table,
+    require_tape_cells,
     verify_nogo,
 )
 from .qtm import (
@@ -168,6 +173,11 @@ def cmd_nogo(args) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
     dims = args.random
+    if dims.N >= 3:
+        # the errors verify_nogo would end in, raised before a draw spends
+        # time and memory on a table; N < 3 is the draw's own first error
+        require_tape_cells(dims)
+        dims.require_dense()
     worst_mass = 0.0
     worst_residual = 0.0
     worst_sample = 0

@@ -16,7 +16,7 @@ from typing import Tuple
 
 from .ancilla import AncillaPolicy, BranchSpec, PolicyError
 from .hilbert import sum_of_squares
-from .qtm import MachineDims, MachineError, TransitionTable
+from .qtm import DENSE_DIMENSION_CAP, MachineDims, MachineError, TransitionTable
 
 __all__ = [
     "FORMAT_VERSION",
@@ -165,6 +165,10 @@ def loads_machine(text: str) -> TransitionTable:
             if (q, sym, halt) not in rules
         )
         raise DocumentError("rules", f"missing rule keys: {list(itertools.islice(missing, 4))}")
+    if dims.table_shape[0] > DENSE_DIMENSION_CAP:
+        # D >= 2*M*S, so this operator is past the dense cap too: refused
+        # before the table tensor, which such dims may not afford
+        dims.require_dense()
 
     try:
         return TransitionTable(dims, rules)
@@ -178,8 +182,9 @@ def load_machine(path) -> TransitionTable:
 
 
 def machine_to_doc(table: TransitionTable) -> dict:
+    listed = table.rules  # rebuilt on each access
     rules = []
-    for key in sorted(table.rules):
+    for key in sorted(listed):
         q, sym, halt = key
         out = [
             {
@@ -189,7 +194,7 @@ def machine_to_doc(table: TransitionTable) -> dict:
                 "halt2": h2,
                 "amp": [float(amp.real), float(amp.imag)],
             }
-            for q2, s2, move, h2, amp in table.rules[key]
+            for q2, s2, move, h2, amp in listed[key]
         ]
         rules.append({"q": q, "sym": sym, "halt": halt, "out": out})
     dims = table.dims

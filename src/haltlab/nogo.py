@@ -210,6 +210,12 @@ def _worst_cases(residuals: Sequence[np.ndarray]) -> Tuple[Dict[str, float], Dic
     return peaks, worst
 
 
+def require_tape_cells(dims: MachineDims) -> None:
+    """Raise unless the tape has the :data:`MIN_TAPE_CELLS` the argument needs."""
+    if dims.N < MIN_TAPE_CELLS:
+        raise MachineError(f"no-go verification needs at least {MIN_TAPE_CELLS} tape cells")
+
+
 def verify_nogo(table: TransitionTable, tol: float = 1e-10) -> GramReport:
     """Check every orthogonality identity and the zero-halting conclusion.
 
@@ -221,9 +227,7 @@ def verify_nogo(table: TransitionTable, tol: float = 1e-10) -> GramReport:
     maximum, and ``worst`` names the first maximizing index tuple in
     lexicographic order, omitted when the maximum is zero.
     """
-    d = table.dims
-    if d.N < MIN_TAPE_CELLS:
-        raise MachineError(f"no-go verification needs at least {MIN_TAPE_CELLS} tape cells")
+    require_tape_cells(table.dims)
     qplus, qminus = halted_sector(table)
     unit = check_global_unitarity(table, tol=UNITARITY_TOL)
     if not unit.passed:

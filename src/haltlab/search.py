@@ -3,14 +3,17 @@
 The optimizer works directly on the local rule amplitudes, the table
 tensor of shape (2*M*S, M, S, 2, 2) indexed (key, q', sigma', move,
 halt') that :class:`~haltlab.qtm.TransitionTable` holds; its free
-variables are the entries under a boolean slot mask.  It maximizes
-the halting mass subject to global unitarity, enforced as a penalty
-lambda * ||U^dag U - I||_F^2 whose weight grows tenfold per phase.  The
-Frobenius penalty of the global matrix decomposes exactly into three
-small-tensor terms (same-column norms, same-site column overlaps, and
-right/left overlaps at head distance two), so no D x D matrix is formed
-in the hot loop; the identity with the global computation is covered by
-tests.
+variables are the entries under a boolean slot mask.  Each restart holds
+its iterate in two forms: the real L-BFGS vector (real parts of the free
+slots, then their imaginary parts) and the table tensor it fills in, and
+:class:`TableParametrization` converts between them.  The search
+maximizes the halting mass subject to global unitarity, enforced as a
+penalty lambda * ||U^dag U - I||_F^2 whose weight grows tenfold per
+phase.  The Frobenius penalty of the global matrix decomposes exactly
+into three small-tensor terms (same-column norms, same-site column
+overlaps, and right/left overlaps at head distance two), so no D x D
+matrix is formed in the hot loop; the identity with the global
+computation is covered by tests.
 
 Each restart ends with a projection of the final table onto the unitary
 matrices: polar decomposition of the dense global matrix, followed by a
@@ -40,7 +43,6 @@ from scipy.sparse.csgraph import connected_components
 
 from .nogo import halting_mass_from_table
 from .qtm import (
-    MOVES,
     MachineDims,
     MachineError,
     TransitionTable,
@@ -49,7 +51,6 @@ from .qtm import (
     compliant_slots,
     halting_slots,
     operator_indices,
-    rule_keys,
 )
 
 __all__ = [
@@ -78,20 +79,22 @@ PENALTY_WEIGHTS = tuple(0.1 * 10.0**p for p in range(6))
 
 
 class TableParametrization:
-    """Free amplitude slots of a transition table.
+    """Free amplitude slots of a transition table, and the L-BFGS vector.
 
-    ``mask`` has the table tensor's shape and marks the free slots; a
-    table and its slot vector convert by masking.  In compliant mode the
-    halted keys expose only (head state, move) slots that keep the scanned
-    symbol and the halt bit; running keys always expose every
-    (q', sigma', move, halt') slot.  Slot order is lexicographic in
-    (key, q', sigma', move, halt').
+    ``mask`` has the table tensor's shape and marks the free slots.  In
+    compliant mode the halted keys expose only (head state, move) slots
+    that keep the scanned symbol and the halt bit; running keys always
+    expose every (q', sigma', move, halt') slot.  ``mass_mask`` marks the
+    free slots that carry halting mass.  An iterate is held as the real
+    vector ``x`` of length ``2 * num_slots``, the real parts of the free
+    slots and then their imaginary parts, slots in lexicographic (key,
+    q', sigma', move, halt') order, or as the table tensor that is ``x``
+    on the mask and zero off it.
     """
 
     def __init__(self, dims: MachineDims, ozawa_compliant: bool = True):
         self.dims = dims
         self.ozawa_compliant = ozawa_compliant
-        self.keys = rule_keys(dims)
         if ozawa_compliant:
             self.mask = compliant_slots(dims)
         else:
@@ -99,38 +102,31 @@ class TableParametrization:
         self.mass_mask = self.mask & halting_slots(dims)
         self.num_slots = int(self.mask.sum())
 
-    def tensor_from_theta(self, theta: np.ndarray) -> np.ndarray:
+    def tensor(self, x: np.ndarray) -> np.ndarray:
+        """The table tensor of the vector ``x``."""
         v = np.zeros(self.mask.shape, dtype=complex)
-        v[self.mask] = theta
+        v[self.mask] = x[: self.num_slots] + 1j * x[self.num_slots :]
         return v
 
-    def theta_from_tensor(self, v: np.ndarray) -> np.ndarray:
-        return v[self.mask]
+    def vector(self, v: np.ndarray) -> np.ndarray:
+        """The vector of the tensor ``v``'s free slots; other entries are ignored."""
+        slots = v[self.mask]
+        return np.concatenate([slots.real, slots.imag])
 
-    def table_from_theta(self, theta: np.ndarray) -> TransitionTable:
-        return TransitionTable.from_tensor(self.dims, self.tensor_from_theta(theta))
+    def table(self, x: np.ndarray) -> TransitionTable:
+        return TransitionTable.from_tensor(self.dims, self.tensor(x))
 
-    def theta_from_table(self, table: TransitionTable) -> np.ndarray:
-        outside = np.argwhere((table.amplitudes != 0) & ~self.mask)
-        if len(outside):
-            ki, q2, s2, di, h2 = outside[0].tolist()
-            raise MachineError(
-                f"table amplitude at key {self.keys[ki]} slot {(q2, s2, MOVES[di], h2)} "
-                "outside the parametrization"
-            )
-        return self.theta_from_tensor(table.amplitudes)
-
-    def random_theta(self, rng: np.random.Generator) -> np.ndarray:
+    def random_start(self, rng: np.random.Generator) -> np.ndarray:
         """Raw start point: each key column drawn Gaussian and normalized."""
         v = np.zeros(self.mask.shape, dtype=complex)
         v[self.mask] = rng.standard_normal(self.num_slots) + 1j * rng.standard_normal(
             self.num_slots
         )
-        for ki in range(len(self.keys)):
-            nrm = np.linalg.norm(v[ki])
+        for column in v:
+            nrm = np.linalg.norm(column)
             if nrm > 0:
-                v[ki] /= nrm
-        return self.theta_from_tensor(v)
+                column /= nrm
+        return self.vector(v)
 
 
 def penalty_value_grad(v: np.ndarray, dims: MachineDims) -> Tuple[float, np.ndarray]:
@@ -168,26 +164,13 @@ def penalty_value_grad(v: np.ndarray, dims: MachineDims) -> Tuple[float, np.ndar
 
 
 def _objective(x, param, lam, mass_weight):
-    n = param.num_slots
-    theta = x[:n] + 1j * x[n:]
-    v = param.tensor_from_theta(theta)
+    v = param.tensor(x)
     pen, pen_grad = penalty_value_grad(v, param.dims)
     mass = float(np.sum(np.abs(v[param.mass_mask]) ** 2))
     grad_conj = lam * pen_grad
     if mass_weight:
         grad_conj = grad_conj - mass_weight * np.where(param.mass_mask, v, 0.0)
-    g = grad_conj[param.mask]
-    grad_x = np.concatenate([2.0 * g.real, 2.0 * g.imag])
-    return lam * pen - mass_weight * mass, grad_x
-
-
-def _mass_and_penalty(x, param):
-    n = param.num_slots
-    theta = x[:n] + 1j * x[n:]
-    v = param.tensor_from_theta(theta)
-    pen, _ = penalty_value_grad(v, param.dims)
-    mass = float(np.sum(np.abs(v[param.mass_mask]) ** 2))
-    return mass, pen
+    return lam * pen - mass_weight * mass, 2.0 * param.vector(grad_conj)
 
 
 #: One block size of a polar factor: ``rows`` and ``cols`` of shape (k, n)
@@ -240,12 +223,6 @@ def _polar_factor(matrix: np.ndarray) -> List[PolarBlocks]:
     return groups
 
 
-def _key_columns(x: np.ndarray, param: TableParametrization) -> np.ndarray:
-    """The iterate's table tensor, one flattened row per rule key."""
-    n = param.num_slots
-    return param.tensor_from_theta(x[:n] + 1j * x[n:]).reshape(len(param.keys), -1)
-
-
 def _redraw_columns(
     x: np.ndarray, param: TableParametrization, rng, redraw: np.ndarray
 ) -> np.ndarray:
@@ -259,11 +236,11 @@ def _redraw_columns(
     """
     if not redraw.any():
         return x
-    flat = _key_columns(x, param)
-    n_keys = len(param.keys)
+    v = param.tensor(x)
+    flat = v.reshape(len(v), -1)  # one row per key column, a view of v
     for ki in np.flatnonzero(redraw):
         mask_k = param.mask[ki].reshape(-1)
-        others = [flat[kj][mask_k] for kj in range(n_keys) if kj != ki and not redraw[kj]]
+        others = [flat[kj][mask_k] for kj in range(len(flat)) if kj != ki and not redraw[kj]]
         basis = np.stack(others, axis=1) if others else None
         for _attempt in range(16):
             raw = rng.standard_normal(int(mask_k.sum())) + 1j * rng.standard_normal(
@@ -277,8 +254,7 @@ def _redraw_columns(
                 flat[ki][:] = 0.0
                 flat[ki][mask_k] = raw / nrm
                 break
-    theta = flat[param.mask.reshape(n_keys, -1)]
-    return np.concatenate([theta.real, theta.imag])
+    return param.vector(v)
 
 
 def project_to_unitary_table(
@@ -299,7 +275,6 @@ def project_to_unitary_table(
     """
     dims = table.dims
     groups = _polar_factor(build_global_matrix(table))
-    param = TableParametrization(dims, ozawa_compliant)
 
     keys, rows = operator_indices(dims)
     first = np.unique(keys, return_index=True)[1]
@@ -310,7 +285,9 @@ def project_to_unitary_table(
         b, pos = np.nonzero(key_of[block_cols] >= 0)
         columns[block_rows[b], key_of[block_cols[b, pos]][:, None]] = polar[b, :, pos]
     local = columns[rows[first], np.arange(len(first)).reshape(-1, 1, 1, 1, 1)]
-    refit = TransitionTable.from_tensor(dims, np.where(param.mask, local, 0))
+    if ozawa_compliant:
+        local = np.where(compliant_slots(dims), local, 0)
+    refit = TransitionTable.from_tensor(dims, local)
 
     difference = build_global_matrix(refit)
     for block_rows, block_cols, polar in groups:
@@ -375,10 +352,7 @@ def _polish(x: np.ndarray, param: TableParametrization, iterations: int, record)
 
 def _certify(x: np.ndarray, param: TableParametrization) -> Tuple[TransitionTable, float, float]:
     """Projected refit table, projection residual and certified deviation."""
-    theta = x[: param.num_slots] + 1j * x[param.num_slots :]
-    refit, residual = project_to_unitary_table(
-        param.table_from_theta(theta), param.ozawa_compliant
-    )
+    refit, residual = project_to_unitary_table(param.table(x), param.ozawa_compliant)
     return refit, residual, check_global_unitarity(refit).max_deviation
 
 
@@ -414,35 +388,30 @@ def search_max_halting_mass(
 
     per_phase = max(1, iterations // (len(PENALTY_WEIGHTS) + 1))
     polish_iters = max(1, iterations - len(PENALTY_WEIGHTS) * per_phase)
-    mass_weight = 1.0
+    param = TableParametrization(dims, ozawa_compliant)
 
     candidates = []
     for restart in range(restarts):
         rng = np.random.default_rng([seed, restart])
-        param = TableParametrization(dims, ozawa_compliant)
-        theta = param.random_theta(rng)
-        x = np.concatenate([theta.real, theta.imag])
-
+        x = param.random_start(rng)
         trace: List[Tuple[int, float]] = []
-        counter = [0]
 
         def record(xk, lam):
-            mass, pen = _mass_and_penalty(xk, param)
-            trace.append((counter[0], mass - lam * pen))
-            counter[0] += 1
+            # mass - lam * penalty; 0.0 - keeps +0.0 where the two cancel
+            trace.append((len(trace), 0.0 - _objective(xk, param, lam, 1.0)[0]))
 
         record(x, PENALTY_WEIGHTS[0])
         for lam in PENALTY_WEIGHTS:
             res = scipy.optimize.minimize(
                 _objective,
                 x,
-                args=(param, lam, mass_weight),
+                args=(param, lam, 1.0),
                 jac=True,
                 method="L-BFGS-B",
                 callback=lambda xk, lam=lam: record(xk, lam),
                 options={"maxiter": per_phase, "ftol": 1e-18, "gtol": 1e-14, "maxcor": 30},
             )
-            norms = np.linalg.norm(_key_columns(res.x, param), axis=1)
+            norms = np.linalg.norm(param.tensor(res.x).reshape(len(param.mask), -1), axis=1)
             x = _redraw_columns(res.x, param, rng, ~(norms >= 0.5))  # dead or NaN
         x = _polish(x, param, polish_iters, record)
         certified = _certify(x, param)
@@ -452,7 +421,7 @@ def search_max_halting_mass(
         for _round in range(RESCUE_ROUNDS):
             if certified[2] <= FEASIBLE_DEVIATION:
                 break
-            norms = np.linalg.norm(_key_columns(x, param), axis=1)
+            norms = np.linalg.norm(param.tensor(x).reshape(len(param.mask), -1), axis=1)
             off_unit = ~(np.abs(norms**2 - 1.0) <= FEASIBLE_DEVIATION)
             if not off_unit.any():
                 break

@@ -1,8 +1,10 @@
 """CLI contract: exit codes, determinism, CSV and report shapes."""
 
 import contextlib
+import dataclasses
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -12,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import haltlab.cli
 from haltlab.cli import main
+from haltlab.documents import dumps_machine
+from haltlab.qtm import MachineDims, TransitionTable, check_global_unitarity, right_shift_table
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -84,6 +89,77 @@ def test_nogo_random_mode(capsys):
     assert doc["max_halting_mass"] <= 1e-10
     assert doc["max_residual"] <= 1e-10
     assert doc["passed"] is True
+
+
+def test_nogo_random_fails_when_an_early_sample_fails(capsys, monkeypatch):
+    # sample 0 of 3 fails, the last one passes: the run must fail
+    verify = haltlab.cli.verify_nogo
+    reports = []
+
+    def first_fails(table, tol):
+        report = verify(table, tol=tol)
+        reports.append(report)
+        return dataclasses.replace(report, passed=False) if len(reports) == 1 else report
+
+    monkeypatch.setattr(haltlab.cli, "verify_nogo", first_fails)
+    code, out, err = run_cli(
+        capsys, "nogo", "--random", "M=2,S=2,N=6", "--samples", "3", "--seed", "5"
+    )
+    assert len(reports) == 3 and all(r.passed for r in reports)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["passed"] is False
+
+
+def test_check_finds_a_phase_only_unitarity_defect(capsys, tmp_path):
+    # key (0,1,0) also writes symbol 0 at amplitude 1e-3 i: its columns
+    # overlap those of key (0,0,0) by a purely imaginary 1e-3
+    dims = MachineDims(1, 2, 6)
+    rules = {key: list(out) for key, out in right_shift_table(dims).rules.items()}
+    rules[(0, 1, 0)].append((0, 0, 1, 0, 1e-3j))
+    table = TransitionTable(dims, rules)
+    assert check_global_unitarity(table).max_deviation == pytest.approx(1e-3, rel=1e-12)
+    path = tmp_path / "phase_defect.json"
+    path.write_text(dumps_machine(table))
+    code, out, err = run_cli(capsys, "check", str(path))
+    assert (code, err) == (1, "")
+    assert json.loads(out)["unitarity"]["max_deviation"] == pytest.approx(1e-3, rel=1e-12)
+
+
+def _limited_address_space():
+    import resource
+
+    limit = 3 * 2**29  # 1.5 GiB
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
+def test_tables_past_the_dense_cap_are_refused_before_allocation(tmp_path):
+    # each is refused before its table tensor (0.5 to 75 GiB) exists; the
+    # child may map 1.5 GiB
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({
+        "format_version": 1,
+        "dims": {"M": 20000, "S": 1, "N": 6},
+        "rules": [{"q": q, "sym": 0, "halt": h, "out": []} for q in range(20000) for h in (0, 1)],
+    }))
+    cases = [
+        (["nogo", "--random", "M=100000,S=2,N=6", "--samples", "1"],
+         "error: dimension 76800000 exceeds dense cap 4096\n"),
+        (["nogo", "--random", "M=100000,S=2,N=4", "--samples", "1"],
+         "error: no-go verification needs at least 6 tape cells\n"),
+        # refused before the draw, which takes 10 s already at M=256
+        (["nogo", "--random", "M=1024,S=2,N=6", "--samples", "1"],
+         "error: dimension 786432 exceeds dense cap 4096\n"),
+        (["check", str(wide)], "error: dimension 240000 exceeds dense cap 4096\n"),
+        (["nogo", str(wide)], "error: dimension 240000 exceeds dense cap 4096\n"),
+    ]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    for argv, stderr in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "haltlab", *argv], capture_output=True, text=True,
+            env=env, preexec_fn=_limited_address_space, check=False,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", stderr)
 
 
 def test_nogo_rejects_both_file_and_random(capsys):
@@ -335,7 +411,7 @@ def test_interfere_overflowing_amplitude_is_a_parse_error(capsys, tmp_path):
     path = _altered_fixture(tmp_path, "scenario_permuted.json", overflow)
     code, out, err = run_cli(capsys, "interfere", path)
     assert (code, out) == (2, "")
-    assert err.startswith("parse error: amps:") and err.count("\n") == 1
+    assert err.startswith("parse error: amps: sum |amp|^2 = inf,") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("amp", [1e155, 1e200])

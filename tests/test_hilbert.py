@@ -12,6 +12,7 @@ from haltlab.hilbert import (
     HilbertError,
     SparseState,
     reduced_density,
+    sum_of_squares,
 )
 from oracles import gram, inner_product, normalized, scaled
 
@@ -179,3 +180,9 @@ def test_norm_squared_equals_sorted_fsum_bit_for_bit(entries):
     state = SparseState(entries)
     in_label_order = math.fsum(abs(a) ** 2 for _, a in state.items())
     assert state.norm_squared().hex() == in_label_order.hex()
+
+
+def test_sum_of_squares_overflows_to_inf():
+    assert sum_of_squares([1e200]) == math.inf
+    assert sum_of_squares([1.3e154, 1.3e154j]) == math.inf  # each square fits, the sum does not
+    assert sum_of_squares([3.0, 4j]) == 25.0

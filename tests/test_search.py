@@ -5,7 +5,6 @@ import pytest
 
 from haltlab.nogo import (
     halting_mass_from_table,
-    halting_witness_table,
     random_compliant_table,
 )
 from haltlab.qtm import (
@@ -25,34 +24,40 @@ from haltlab.search import (
     search_max_halting_mass,
 )
 from haltlab.search import _objective  # gradient check
-from haltlab.search import _key_columns, _polar_factor, _polish, _redraw_columns, _select_restart
+from haltlab.search import _polar_factor, _polish, _redraw_columns, _select_restart
 from oracles import global_frobenius_penalty, polar_factor_by_blocks, projection_by_dense_polar
 
 
-def _perturbed_theta(dims, compliant, seed, scale=0.1):
+def _perturbed_start(dims, compliant, seed, scale=0.1):
+    """A parametrization and a vector near a unitary (compliant) or random table."""
     rng = np.random.default_rng(seed)
     param = TableParametrization(dims, compliant)
-    theta = param.theta_from_table(random_compliant_table(dims, rng)) if compliant else None
-    if theta is None:
-        theta = param.random_theta(rng)
-    noise = rng.standard_normal(theta.shape) + 1j * rng.standard_normal(theta.shape)
-    return param, theta + scale * noise
+    if compliant:
+        x = param.vector(random_compliant_table(dims, rng).amplitudes)
+    else:
+        x = param.random_start(rng)
+    return param, x + scale * rng.standard_normal(x.shape)
+
+
+def _key_columns(x, param):
+    """The table tensor of ``x``, one flattened row per rule key."""
+    return param.tensor(x).reshape(len(param.mask), -1)
 
 
 @pytest.mark.parametrize("dims", [MachineDims(2, 2, 5), MachineDims(2, 2, 6), MachineDims(1, 2, 6)])
 @pytest.mark.parametrize("compliant", [True, False])
 def test_local_penalty_equals_global_frobenius(dims, compliant):
-    param, theta = _perturbed_theta(dims, compliant, seed=8)
-    pen_local, _ = penalty_value_grad(param.tensor_from_theta(theta), dims)
-    pen_global = global_frobenius_penalty(param.table_from_theta(theta))
+    param, x = _perturbed_start(dims, compliant, seed=8)
+    pen_local, _ = penalty_value_grad(param.tensor(x), dims)
+    pen_global = global_frobenius_penalty(param.table(x))
     assert pen_local == pytest.approx(pen_global, rel=1e-12)
 
 
 def test_penalty_zero_exactly_on_unitary_tables():
     dims = MachineDims(2, 2, 6)
     param = TableParametrization(dims, True)
-    theta = param.theta_from_table(random_compliant_table(dims, np.random.default_rng(3)))
-    pen, _ = penalty_value_grad(param.tensor_from_theta(theta), dims)
+    table = random_compliant_table(dims, np.random.default_rng(3))
+    pen, _ = penalty_value_grad(param.tensor(param.vector(table.amplitudes)), dims)
     assert pen < 1e-26
 
 
@@ -60,14 +65,13 @@ def test_penalty_requires_five_cells():
     dims = MachineDims(2, 2, 4)
     param = TableParametrization(dims, True)
     with pytest.raises(MachineError):
-        penalty_value_grad(param.tensor_from_theta(param.random_theta(np.random.default_rng(0))), dims)
+        penalty_value_grad(param.tensor(param.random_start(np.random.default_rng(0))), dims)
 
 
 def test_objective_gradient_matches_finite_differences():
     dims = MachineDims(2, 2, 6)
     for compliant in (True, False):
-        param, theta = _perturbed_theta(dims, compliant, seed=21)
-        x = np.concatenate([theta.real, theta.imag])
+        param, x = _perturbed_start(dims, compliant, seed=21)
         _, grad = _objective(x, param, 0.37, 1.0)
         rng = np.random.default_rng(1)
         eps = 1e-7
@@ -85,24 +89,19 @@ def test_parametrization_round_trip():
     dims = MachineDims(2, 2, 6)
     for compliant in (True, False):
         param = TableParametrization(dims, compliant)
-        theta = param.random_theta(np.random.default_rng(5))
-        back = param.theta_from_table(param.table_from_theta(theta))
-        assert np.max(np.abs(theta - back)) < 1e-15
-
-
-def test_parametrization_rejects_non_compliant_table():
-    dims = MachineDims(2, 2, 6)
-    param = TableParametrization(dims, ozawa_compliant=True)
-    with pytest.raises(MachineError):
-        param.theta_from_table(halting_witness_table(dims))
+        x = param.random_start(np.random.default_rng(5))
+        assert param.vector(param.tensor(x)).tobytes() == x.tobytes()
+        back = param.vector(param.table(x).amplitudes)
+        assert np.max(np.abs(x - back)) < 1e-15
+        assert not np.any(param.tensor(x)[~param.mask])
 
 
 def test_projection_improves_nearby_unitary_table():
     # the refit is first-order accurate in the pre-projection deviation:
     # leftover non-locality of the polar factor shows up in the residual
     dims = MachineDims(2, 2, 6)
-    param, theta = _perturbed_theta(dims, True, seed=13, scale=0.02)
-    noisy = param.table_from_theta(theta)
+    param, x = _perturbed_start(dims, True, seed=13, scale=0.02)
+    noisy = param.table(x)
     dev_noisy = check_global_unitarity(noisy).max_deviation
     assert dev_noisy > 1e-3
     refit, residual = project_to_unitary_table(noisy, ozawa_compliant=True)
@@ -129,15 +128,15 @@ def _polar_cases():
     dims = MachineDims(1, 2, 6)
     rng = np.random.default_rng(29)
     param = TableParametrization(dims, True)
-    start = param.table_from_theta(param.random_theta(rng))
-    _, theta = _perturbed_theta(dims, True, seed=31, scale=0.02)
+    start = param.table(param.random_start(rng))
+    _, x = _perturbed_start(dims, True, seed=31, scale=0.02)
     support = rng.uniform(size=dims.table_shape) < 0.3
     noise = rng.standard_normal(dims.table_shape) + 1j * rng.standard_normal(dims.table_shape)
     zero_keys = random_compliant_table(dims, rng).amplitudes.copy()
     zero_keys[1] = 0.0
     return {
         "search_start": build_global_matrix(start),
-        "perturbed_compliant": build_global_matrix(param.table_from_theta(theta)),
+        "perturbed_compliant": build_global_matrix(param.table(x)),
         "right_shift": build_global_matrix(right_shift_table(dims)),
         "sparse_arbitrary": build_global_matrix(
             TransitionTable.from_tensor(dims, np.where(support, noise, 0.0))
@@ -178,15 +177,11 @@ def _search_iterates():
     tables = {}
     for compliant in (True, False):
         param = TableParametrization(dims, compliant)
-        theta = param.random_theta(np.random.default_rng([5, compliant]))
-        x = np.concatenate([theta.real, theta.imag])
+        x = param.random_start(np.random.default_rng([5, compliant]))
         polished = _polish(x, param, 30, lambda xk, lam: None)
-        n = param.num_slots
         mode = "compliant" if compliant else "no_ozawa"
-        tables[f"{mode}_start"] = (param.table_from_theta(theta), compliant)
-        tables[f"{mode}_polished"] = (
-            param.table_from_theta(polished[:n] + 1j * polished[n:]), compliant
-        )
+        tables[f"{mode}_start"] = (param.table(x), compliant)
+        tables[f"{mode}_polished"] = (param.table(polished), compliant)
     return tables
 
 
@@ -236,7 +231,7 @@ def _projection_cases():
     zero_keys = random_compliant_table(dims, rng).amplitudes.copy()
     zero_keys[1] = 0.0
     cases = {
-        "search_start": param.table_from_theta(param.random_theta(rng)),
+        "search_start": param.table(param.random_start(rng)),
         "right_shift": right_shift_table(dims),
         "sparse_arbitrary": TransitionTable.from_tensor(dims, np.where(support, noise, 0.0)),
         "zero_keys": TransitionTable.from_tensor(dims, zero_keys),
@@ -273,15 +268,14 @@ def test_projection_equals_the_dense_polar_route(case):
 
 @pytest.mark.parametrize("compliant", [True, False])
 def test_redrawn_columns_are_unit_and_orthogonal_to_the_kept_ones(compliant):
-    param, theta = _perturbed_theta(MachineDims(2, 2, 6), compliant, seed=17)
-    x = np.concatenate([theta.real, theta.imag])
-    assert _redraw_columns(x, param, None, np.zeros(len(param.keys), dtype=bool)) is x
-    redraw = np.zeros(len(param.keys), dtype=bool)
+    param, x = _perturbed_start(MachineDims(2, 2, 6), compliant, seed=17)
+    assert _redraw_columns(x, param, None, np.zeros(len(param.mask), dtype=bool)) is x
+    redraw = np.zeros(len(param.mask), dtype=bool)
     redraw[[1, 4, 5]] = True
     before = _key_columns(x, param)
     after = _key_columns(_redraw_columns(x, param, np.random.default_rng(3), redraw), param)
     assert after[~redraw].tobytes() == before[~redraw].tobytes()
-    flat_mask = param.mask.reshape(len(param.keys), -1)
+    flat_mask = param.mask.reshape(len(param.mask), -1)
     for ki in np.flatnonzero(redraw):
         assert np.all(after[ki][~flat_mask[ki]] == 0)
         assert np.linalg.norm(after[ki]) == pytest.approx(1.0, abs=1e-15)
