@@ -88,6 +88,11 @@ class BranchSpec:
                 raise BranchModelError(
                     f"branch {self.id}: orbit[{t}] differs from the post-halt label"
                 )
+        # composite labels of the running steps, built once; not a field, so
+        # equality, hashing and repr are those of the four fields above
+        object.__setattr__(
+            self, "_running", tuple((self.orbit[t], 0, 0) for t in range(self.halt_step))
+        )
 
     def label_at(self, t: int) -> Hashable:
         if t >= self.halt_step:
@@ -205,15 +210,26 @@ class RunTrace:
         return b.halt_bit(t), self.policy.ancilla_index(b.id, t, b.halt_step)
 
 
-def _branch_labels(branch: BranchSpec, policy: AncillaPolicy, t_max: int):
+def _label_column(branch: BranchSpec, policy: AncillaPolicy, t_max: int) -> list:
     """Composite labels (label, halt bit, ancilla index) of one branch at
-    steps 0 .. t_max, produced one step at a time."""
-    orbit, halt_step, post = branch.orbit, branch.halt_step, branch.post_halt_label
-    ancilla_index = policy.ancilla_index
-    for t in range(min(halt_step, t_max + 1)):
-        yield (orbit[t], 0, 0)
-    for t in range(halt_step, t_max + 1):
-        yield (post, 1, ancilla_index(branch.id, t, halt_step))
+    steps 0 .. t_max.  A custom map that leaves an offset uncovered ends
+    the column at the step that reaches it."""
+    column = list(branch._running[: t_max + 1])
+    halted = range(t_max + 1 - branch.halt_step)
+    if not halted:
+        return column
+    post = branch.post_halt_label
+    mapping = policy.maps.get(branch.id)
+    if mapping is None:  # the shared policy, or a branch without a map
+        column += [(post, 1, k) for k in halted]
+    elif policy.kind == AncillaPolicy.PERMUTED:
+        column += [(post, 1, mapping.get(k, k)) for k in halted]
+    else:
+        for k in halted:
+            if k not in mapping:
+                break
+            column.append((post, 1, mapping[k]))
+    return column
 
 
 def run_superposition(
@@ -230,11 +246,12 @@ def run_superposition(
     label, which the branch bookkeeping cannot represent.
 
     The amplitudes are validated and pruned once, keyed by branch
-    position.  A step whose composite labels are pairwise distinct
-    relabels them and keeps their norm; a step where labels collide
-    builds a new state, so the collision merges or raises.  Labels are
-    produced step by step, branch by branch, so the first failing step
-    and branch raise.
+    position, and each branch's labels are built once as a column.  A
+    step whose composite labels are pairwise distinct relabels them and
+    keeps their norm; a step where labels collide builds a new state, so
+    the collision merges or raises.  Steps are checked in order, so the
+    first failing step raises; an uncovered custom offset raises at the
+    step that reaches it, for the first such branch in position order.
     """
     if t_max < 0:
         raise BranchModelError("t_max must be >= 0")
@@ -255,11 +272,20 @@ def run_superposition(
     kept = validated.items()
     kept_norm = validated.norm()
     n = len(branches)
+    kept_amps = [a for _, a in kept] if len(kept) == n else None
+    columns = [_label_column(b, policy, t_max) for b in branches]
     states = []
-    steps = zip(*(_branch_labels(b, policy, t_max) for b in branches))
-    for t, labels in enumerate(steps):
-        if len(set(labels)) == n:
-            state = SparseState._adopt({labels[k]: a for k, a in kept})
+    for t, labels in enumerate(zip(*columns)):
+        if kept_amps is not None:
+            # nothing pruned: the dict has n entries iff the labels are distinct
+            entries = dict(zip(labels, kept_amps))
+            distinct = len(entries) == n
+        else:
+            distinct = len(set(labels)) == n
+            if distinct:
+                entries = {labels[k]: a for k, a in kept}
+        if distinct:
+            state = SparseState._adopt(entries)
             norm = kept_norm
         else:
             state = SparseState(zip(labels, amps))
@@ -270,6 +296,11 @@ def run_superposition(
                 "the run is not an isometry on the branch set"
             )
         states.append(state)
+    t = len(states)
+    if t <= t_max:  # a column ended early: its custom map misses step t
+        for b, column in zip(branches, columns):
+            if len(column) == t:
+                policy.ancilla_index(b.id, t, b.halt_step)  # raises PolicyError
     return RunTrace(
         branches=tuple(branches),
         amps=amps,

@@ -227,19 +227,39 @@ class ScenarioDef:
     t_max: int
 
 
+def _index_key(key: str, path: str, what: str) -> int:
+    """Integer written as a policy object key.  Only the canonical decimal
+    form ``str(int(key))`` is taken, so no two keys name one integer."""
+    try:
+        value = int(key)
+    except ValueError:
+        value = None
+    if value is None or str(value) != key:
+        raise DocumentError(path, f"{what} key {key!r} is not a canonical decimal integer")
+    return value
+
+
 def _parse_index_map(obj, path: str) -> dict:
     if not isinstance(obj, dict):
         raise DocumentError(path, "expected an object of index -> index")
     mapping = {}
     for key, val in obj.items():
-        try:
-            k = int(key)
-        except (TypeError, ValueError):
-            raise DocumentError(path, f"non-integer offset key {key!r}") from None
+        k = _index_key(key, path, "offset")
         if isinstance(val, bool) or not isinstance(val, int):
             raise DocumentError(path, f"non-integer index {val!r}")
         mapping[k] = val
     return mapping
+
+
+def _parse_policy_maps(obj, path: str) -> dict:
+    """Branch id -> index map, for the permuted and custom policies."""
+    if not isinstance(obj, dict):
+        raise DocumentError(path, "expected an object")
+    maps = {}
+    for key, val in obj.items():
+        bid = _index_key(key, path, "branch id")
+        maps[bid] = _parse_index_map(val, f"{path}[{key}]")
+    return maps
 
 
 def loads_scenario(text: str) -> ScenarioDef:
@@ -295,26 +315,10 @@ def loads_scenario(text: str) -> ScenarioDef:
     try:
         if kind == AncillaPolicy.SHARED:
             policy = AncillaPolicy.shared()
-        elif kind == AncillaPolicy.PERMUTED:
-            perms = _need(policy_obj, "permutations", "policy")
-            if not isinstance(perms, dict):
-                raise DocumentError("policy.permutations", "expected an object")
-            policy = AncillaPolicy.permuted(
-                {
-                    int(bid): _parse_index_map(perm, f"policy.permutations[{bid}]")
-                    for bid, perm in perms.items()
-                }
-            )
-        elif kind == AncillaPolicy.CUSTOM:
-            maps = _need(policy_obj, "maps", "policy")
-            if not isinstance(maps, dict):
-                raise DocumentError("policy.maps", "expected an object")
-            policy = AncillaPolicy.custom(
-                {
-                    int(bid): _parse_index_map(mp, f"policy.maps[{bid}]")
-                    for bid, mp in maps.items()
-                }
-            )
+        elif kind in (AncillaPolicy.PERMUTED, AncillaPolicy.CUSTOM):
+            name = "permutations" if kind == AncillaPolicy.PERMUTED else "maps"
+            maps = _parse_policy_maps(_need(policy_obj, name, "policy"), f"policy.{name}")
+            policy = AncillaPolicy(kind, maps)
         else:
             raise DocumentError("policy.kind", f"unknown kind {kind!r}")
     except PolicyError as exc:

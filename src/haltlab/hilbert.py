@@ -185,14 +185,18 @@ def reduced_density(
 
     ordered = sorted(sys_labels)
     index = {l: i for i, l in enumerate(ordered)}
-    rho = np.zeros((len(ordered), len(ordered)), dtype=complex)
+    # Python complex arithmetic, converted once: the same products and sums
+    # in the same order as adding into the array entry by entry
+    rows = [[0j] * len(ordered) for _ in ordered]
     for env_label in sorted(by_env):
-        group = by_env[env_label]
-        for sys_i, amp_i in group:
-            for sys_j, amp_j in group:
-                rho[index[sys_i], index[sys_j]] += amp_i * amp_j.conjugate()
+        group = [(index[sys_label], amp) for sys_label, amp in by_env[env_label]]
+        conjugates = [(j, amp.conjugate()) for j, amp in group]
+        for i, amp_i in group:
+            row = rows[i]
+            for j, conj_j in conjugates:
+                row[j] += amp_i * conj_j
 
-    dm = DensityMatrix(ordered, rho)
+    dm = DensityMatrix(ordered, np.array(rows, dtype=complex))
     drift = abs(dm.trace - state.norm_squared())
     if drift > 1e-12 * max(1.0, state.norm_squared()):
         raise HilbertError(f"trace drifted from squared norm by {drift:.3e}")

@@ -6,12 +6,13 @@ by configuration, inner products and the Gram matrix pair by pair, the
 no-go residuals vector pair by vector pair, the halting mass from the
 global matrix, the unitarity penalty from the global product U^dag U,
 the polar factor one block at a time into a dense matrix (and the
-search's projection read off it), and every state of a branch
-superposition built and normed from scratch.
+search's projection read off it), every state of a branch
+superposition built and normed from scratch, and the reduced density
+matrix added entry by entry into an array.
 None of them is used by the package itself.
 """
 
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -286,3 +287,31 @@ def superposition_states(
             )
         states.append(state)
     return states
+
+
+def reduced_density_by_loop(
+    state: SparseState, project: Callable[[Hashable], Tuple[Hashable, Hashable]]
+) -> Tuple[list, np.ndarray]:
+    """Sorted subsystem labels and matrix of
+    :func:`haltlab.hilbert.reduced_density`, without its checks.
+
+    Environments are taken in sorted order and each environment's entries
+    in label order; every product a_i * conj(a_j) is added into its numpy
+    array entry one at a time.
+    """
+    by_env: dict = {}
+    sys_labels: set = set()
+    for label, amp in state.items():
+        sys_label, env_label = project(label)
+        sys_labels.add(sys_label)
+        by_env.setdefault(env_label, []).append((sys_label, amp))
+
+    ordered = sorted(sys_labels)
+    index = {l: i for i, l in enumerate(ordered)}
+    rho = np.zeros((len(ordered), len(ordered)), dtype=complex)
+    for env_label in sorted(by_env):
+        group = by_env[env_label]
+        for sys_i, amp_i in group:
+            for sys_j, amp_j in group:
+                rho[index[sys_i], index[sys_j]] += amp_i * amp_j.conjugate()
+    return ordered, rho

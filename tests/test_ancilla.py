@@ -144,8 +144,21 @@ def _assert_matches_oracle(branches, amps, policy, t_max):
         assert str(caught.value) == str(exc)
         return caught.value
     trace = run_superposition(branches, amps, policy, t_max)
+    assert len(trace.states) == t_max + 1
     assert [_bits(trace.state(t)) for t in range(t_max + 1)] == expected
     return trace
+
+
+def test_run_ending_before_any_branch_halts_keeps_t_max_plus_one_steps():
+    _assert_matches_oracle(_pair(5, 6), EQUAL_AMPS, AncillaPolicy.shared(), t_max=3)
+
+
+def test_pruned_branch_colliding_with_a_kept_one_merges_into_it():
+    # the third amplitude is pruned, but at step 0 its label is the first
+    # branch's, so the step is built from scratch and the two add up
+    branches = _pair(2, 3) + [BranchSpec(id=3, orbit=("a0", "c1"), halt_step=1)]
+    trace = _assert_matches_oracle(branches, EQUAL_AMPS + (1e-16,), AncillaPolicy.shared(), 4)
+    assert trace.state(0).amplitude(("a0", 0, 0)) == INV_SQRT2 + 1e-16 != INV_SQRT2
 
 
 def test_orthogonal_phases_on_one_label_merge_into_one_entry():
@@ -174,6 +187,18 @@ def test_earliest_step_policy_gap_is_reported_first():
     error = _assert_matches_oracle(_pair(1, 2), EQUAL_AMPS, policy, t_max=4)
     assert type(error) is PolicyError
     assert str(error) == "custom map for branch 2 does not cover offset 0"
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_policy_gaps_at_one_step_report_the_first_branch_in_position(order):
+    # both gaps are reached at t = 3: branch 1 at offset 2, branch 2 at offset 1
+    policy = AncillaPolicy.custom({1: {0: 0, 1: 1}, 2: {0: 5}})
+    branches = [_pair(1, 2)[k] for k in order]
+    error = _assert_matches_oracle(branches, EQUAL_AMPS, policy, t_max=5)
+    first = branches[0]
+    assert str(error) == (
+        f"custom map for branch {first.id} does not cover offset {3 - first.halt_step}"
+    )
 
 
 def test_pruned_branch_still_needs_its_policy_to_cover_it():
@@ -320,26 +345,33 @@ def test_fixed_point_validates_arguments():
 
 # -- property suite -------------------------------------------------------------
 
-branch_sets = st.lists(
-    st.tuples(st.integers(1, 8), st.integers(1, 6)), min_size=1, max_size=4
-).map(
-    lambda specs: [
-        _branch(i + 1, f"b{i}_", halt, length=halt + extra)
-        for i, (extra, halt) in enumerate(specs)
-    ]
-)
+def _branch_sets(max_size, max_halt):
+    return st.lists(
+        st.tuples(st.integers(1, 8), st.integers(1, max_halt)), min_size=1, max_size=max_size
+    ).map(
+        lambda specs: [
+            _branch(i + 1, f"b{i}_", halt, length=halt + extra)
+            for i, (extra, halt) in enumerate(specs)
+        ]
+    )
+
+
+branch_sets = _branch_sets(max_size=4, max_halt=6)
+wide_branch_sets = _branch_sets(max_size=6, max_halt=30)
 
 
 @st.composite
 def branch_scenarios(draw, extended=False):
     """Branches, normalized amplitudes, a policy and t_max.
 
-    With ``extended``, branches may share one post-halt label, so their
-    composite labels can collide; the last amplitude may sit at or below
-    the prune threshold; and the policy may be a CustomOrbit whose maps
-    can leave offsets uncovered.
+    With ``extended``, there may be up to 6 branches halting up to step 30
+    in runs up to t_max 40, with longer permutations, so policy gaps and
+    collisions can land deep in a run; branches may share one post-halt
+    label, so their composite labels can collide; the last amplitude may
+    sit at or below the prune threshold; and the policy may be a
+    CustomOrbit whose maps can leave offsets uncovered.
     """
-    branches = draw(branch_sets)
+    branches = draw(wide_branch_sets if extended else branch_sets)
     n = len(branches)
     if extended and draw(st.booleans()):
         branches = [
@@ -367,7 +399,7 @@ def branch_scenarios(draw, extended=False):
         maps = {}
         for b in branches:
             if draw(st.booleans()):
-                values = rng.permutation(16)[: draw(st.integers(0, 12))]
+                values = rng.permutation(40)[: draw(st.integers(0, 30))]
                 maps[b.id] = {k: int(v) for k, v in enumerate(values)}
         policy = AncillaPolicy.custom(maps)
     elif use_permutation:
@@ -376,13 +408,13 @@ def branch_scenarios(draw, extended=False):
         perms = {}
         for b in branches:
             if draw(st.booleans()):
-                size = 8
+                size = draw(st.integers(2, 16)) if extended else 8
                 p = rng.permutation(size)
                 perms[b.id] = {k: int(p[k]) for k in range(size)}
         policy = AncillaPolicy.permuted(perms)
     else:
         policy = AncillaPolicy.shared()
-    t_max = draw(st.integers(0, 10))
+    t_max = draw(st.integers(0, 40 if extended else 10))
     return branches, amps, policy, t_max
 
 

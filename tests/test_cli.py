@@ -323,7 +323,16 @@ def test_interfere_writes_csv_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "scenario", ["scenario_equal_halt", "scenario_shared_unequal", "scenario_permuted"]
+    "scenario",
+    [
+        "scenario_equal_halt",
+        "scenario_shared_unequal",
+        "scenario_permuted",
+        # 12 branches to t_max 80, built like the interfere-wide benchmark
+        # scenario: odd branches swap ancilla offsets 0 and 2, and branch 0
+        # halts two steps after branch 1, so the pair's coherence revives
+        "scenario_wide_permuted",
+    ],
 )
 def test_interfere_output_matches_golden_bytes(capsys, scenario):
     """``fixtures/golden`` holds recorded stdout: an output change must
@@ -412,6 +421,31 @@ def test_interfere_overflowing_amplitude_is_a_parse_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "interfere", path)
     assert (code, out) == (2, "")
     assert err.startswith("parse error: amps: sum |amp|^2 = inf,") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["x", "1.5"])
+def test_interfere_non_integer_policy_key_is_a_parse_error(capsys, tmp_path, key):
+    def alter(doc):
+        doc["policy"]["permutations"][key] = doc["policy"]["permutations"].pop("2")
+
+    path = _altered_fixture(tmp_path, "scenario_permuted.json", alter)
+    code, out, err = run_cli(capsys, "interfere", path)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"parse error: policy.permutations: branch id key {key!r} "
+        "is not a canonical decimal integer\n"
+    )
+
+
+def test_interfere_refuses_two_keys_for_one_branch(capsys, tmp_path):
+    # "0" and "00" used to name branch 0 both, the later silently winning
+    def alter(doc):
+        doc["policy"]["permutations"] = {"2": {"0": 2, "2": 0}, "02": {"0": 1, "1": 0}}
+
+    path = _altered_fixture(tmp_path, "scenario_permuted.json", alter)
+    code, out, err = run_cli(capsys, "interfere", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: policy.permutations: branch id key '02' ")
 
 
 @pytest.mark.parametrize("amp", [1e155, 1e200])

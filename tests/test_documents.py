@@ -132,6 +132,39 @@ def test_scenario_rejects_bad_policy_at_load():
     assert err.value.location == "policy"
 
 
+@pytest.mark.parametrize("key", ["x", "1.5", "00", "+2", " 2", "2_0"])
+@pytest.mark.parametrize("field", ["branch id", "offset"])
+def test_policy_keys_must_be_canonical_integers(field, key):
+    def alter(doc):
+        perms = doc["policy"]["permutations"]
+        if field == "branch id":
+            perms[key] = perms.pop("2")
+        else:
+            perms["2"] = {"0": 2, key: 0} if key != "00" else {"2": 0, key: 2}
+
+    location = "policy.permutations" + ("[2]" if field == "offset" else "")
+    with pytest.raises(DocumentError) as err:
+        loads_scenario(_altered("scenario_permuted.json", alter))
+    assert err.value.location == location
+    assert str(err.value) == f"{location}: {field} key {key!r} is not a canonical decimal integer"
+
+
+def test_custom_policy_keys_are_checked_like_permutation_keys():
+    def alter(doc):
+        doc["policy"] = {"kind": "CustomOrbit", "maps": {"0": {"0": 3}, "00": {"0": 4}}}
+
+    with pytest.raises(DocumentError, match=r"^policy.maps: branch id key '00' is not"):
+        loads_scenario(_altered("scenario_permuted.json", alter))
+
+
+def test_negative_policy_keys_reach_the_policy_check():
+    def alter(doc):
+        doc["policy"]["permutations"]["2"] = {"-1": 2, "2": -1}
+
+    with pytest.raises(DocumentError, match=r"^policy: .* negative ancilla indices$"):
+        loads_scenario(_altered("scenario_permuted.json", alter))
+
+
 def test_scenario_rejects_mixed_label_types():
     doc = json.loads((FIXTURES / "scenario_equal_halt.json").read_text())
     doc["branches"][0]["orbit"] = [0, "a1", "a2", "done1"]

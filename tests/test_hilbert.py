@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haltlab.hilbert import (
@@ -14,7 +14,7 @@ from haltlab.hilbert import (
     reduced_density,
     sum_of_squares,
 )
-from oracles import gram, inner_product, normalized, scaled
+from oracles import gram, inner_product, normalized, reduced_density_by_loop, scaled
 
 INV_SQRT2 = 2**-0.5
 
@@ -180,6 +180,35 @@ def test_norm_squared_equals_sorted_fsum_bit_for_bit(entries):
     state = SparseState(entries)
     in_label_order = math.fsum(abs(a) ** 2 for _, a in state.items())
     assert state.norm_squared().hex() == in_label_order.hex()
+
+
+# (subsystem, environment) labels from small ranges, so entries share an
+# environment and one subsystem label sits under several environments;
+# parts include signed zeros, kept as drawn by building the state unchecked
+_parts = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0, allow_nan=False)
+_signed_amplitudes = (
+    st.tuples(_parts, _parts).map(lambda p: complex(*p)).filter(lambda a: abs(a) > 1e-3)
+)
+split_states = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), _signed_amplitudes, min_size=1, max_size=12
+).map(SparseState._adopt)
+
+
+@given(split_states)
+# subsystem 1 sits under environments 0, 1 and 2, but environment 2 is met
+# first in label order; summing in that order changes the last bit of rho[1, 1]
+@example(
+    SparseState._adopt(
+        {(0, 2): complex(-0.0, 0.5), (1, 0): 0.66 + 0.34j, (1, 1): -0.39 + 0.18j,
+         (1, 2): 0.76 + 0.69j}
+    )
+)
+@settings(max_examples=300)
+def test_reduced_density_bits_equal_the_loop(state):
+    labels, expected = reduced_density_by_loop(state, _split_pair)
+    rho = reduced_density(state, _split_pair)
+    assert rho.labels == tuple(labels)
+    assert rho.matrix.tobytes() == expected.tobytes()
 
 
 def test_sum_of_squares_overflows_to_inf():
