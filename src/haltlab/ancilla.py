@@ -48,7 +48,8 @@ class BranchModelError(ValueError):
 
 
 class PolicyError(BranchModelError):
-    """Ancilla policy violates injectivity or does not cover a lookup."""
+    """Ancilla policy violates injectivity, does not cover a lookup, or maps
+    a branch id that the run has no branch for."""
 
 
 @dataclass(frozen=True)
@@ -240,10 +241,11 @@ def run_superposition(
 ) -> RunTrace:
     """Evolve sum_i a_i |c_i(t), H_i(t), anc_i(t)> for t = 0 .. t_max.
 
-    The amplitudes must be finite and normalized to 1e-12, and the branch
-    set must contain no duplicated branch.  Every step is checked to have
-    norm 1: a violation means two branches collided on the same composite
-    label, which the branch bookkeeping cannot represent.
+    The amplitudes must be finite and normalized to 1e-12, the branch set
+    must contain no duplicated branch or branch id, and every per-branch
+    map of the policy must name a branch of the set.  Every step is checked
+    to have norm 1: a violation means two branches collided on the same
+    composite label, which the branch bookkeeping cannot represent.
 
     The amplitudes are validated and pruned once, keyed by branch
     position, and each branch's labels are built once as a column.  A
@@ -261,9 +263,12 @@ def run_superposition(
     total = sum_of_squares(amps)
     if not abs(total - 1.0) <= NORM_TOL:  # also rejects an inf or NaN total
         raise BranchModelError(f"amplitudes not normalized: sum |a|^2 = {total!r}")
-    ids = [b.id for b in branches]
-    if len(set(ids)) != len(ids):
+    ids = {b.id for b in branches}
+    if len(ids) != len(branches):
         raise BranchModelError("branch ids must be distinct")
+    unknown = [bid for bid in policy.maps if bid not in ids]
+    if unknown:
+        raise PolicyError(f"{policy.kind} map for branch {unknown[0]}, which no branch has")
     fingerprints = {(b.orbit, b.halt_step, b.post_halt_label) for b in branches}
     if len(fingerprints) != len(branches):
         raise BranchModelError("duplicated branch: same orbit and halt data")
@@ -398,13 +403,6 @@ class MonitoringEffect:
     monitored_expectation: float
     delta: float
 
-    def as_dict(self) -> dict:
-        return {
-            "unmonitored_expectation": self.unmonitored_expectation,
-            "monitored_expectation": self.monitored_expectation,
-            "delta": self.delta,
-        }
-
 
 def monitoring_effect(
     branches: Sequence[BranchSpec],
@@ -458,14 +456,6 @@ class FixedPointCertificate:
     overlap: float
     residual: float
     lower_bound: float
-
-    def as_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "overlap": self.overlap,
-            "residual": self.residual,
-            "lower_bound": self.lower_bound,
-        }
 
 
 def fixed_point_impossibility(

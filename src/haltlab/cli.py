@@ -147,27 +147,14 @@ def cmd_nogo(args) -> int:
         raise UsageError("provide a machine file or --random DIMS, not both")
 
     if args.machine is not None:
+        header = {"format_version": FORMAT_VERSION, "mode": "file", "machine": args.machine}
         table = load_machine(args.machine)
         try:
             report = verify_nogo(table, tol=args.tol)
         except PreconditionError as exc:
-            _emit(
-                {
-                    "format_version": FORMAT_VERSION,
-                    "mode": "file",
-                    "machine": args.machine,
-                    "precondition_failure": {"check": exc.check, "detail": exc.detail},
-                }
-            )
+            _emit({**header, "precondition_failure": {"check": exc.check, "detail": exc.detail}})
             return 1
-        _emit(
-            {
-                "format_version": FORMAT_VERSION,
-                "mode": "file",
-                "machine": args.machine,
-                "report": report.as_dict(),
-            }
-        )
+        _emit({**header, "report": report.as_dict()})
         return 0 if report.passed else 1
 
     if args.samples < 1:

@@ -1,8 +1,9 @@
 """Sparse complex vectors over opaque, totally ordered basis labels.
 
-One vector engine serves every state space in the package: labels are
-whatever hashable, sortable objects the caller encodes its basis with
-(machine configurations, branch/ancilla composites, ...).  Every
+One vector engine serves the branch states of :mod:`haltlab.ancilla`,
+whose labels are (computational label, halt bit, ancilla index)
+composites; labels may be any hashable, sortable objects, and the test
+oracles also use the engine for machine configurations.  Every
 reduction is bit-stable across runs: it iterates in sorted label order,
 or, like the norm, takes a correctly rounded sum that no order changes.
 """

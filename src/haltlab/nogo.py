@@ -19,7 +19,7 @@ witness (a unitary machine that halts by breaking compliance).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -73,7 +73,10 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class GramReport:
-    """Worst-case residuals of all orthogonality identities plus halting mass."""
+    """Worst-case residuals of all orthogonality identities plus halting mass.
+
+    ``max_residual`` is the largest of the six residuals.
+    """
 
     residual_16: float
     residual_19: float
@@ -82,35 +85,13 @@ class GramReport:
     residual_27: float
     residual_28: float
     halting_mass: float
+    max_residual: float
     tol: float
     passed: bool
     worst: Mapping[str, tuple]
 
-    @property
-    def max_residual(self) -> float:
-        return max(
-            self.residual_16,
-            self.residual_19,
-            self.residual_22,
-            self.residual_26,
-            self.residual_27,
-            self.residual_28,
-        )
-
     def as_dict(self) -> dict:
-        return {
-            "residual_16": self.residual_16,
-            "residual_19": self.residual_19,
-            "residual_22": self.residual_22,
-            "residual_26": self.residual_26,
-            "residual_27": self.residual_27,
-            "residual_28": self.residual_28,
-            "halting_mass": self.halting_mass,
-            "max_residual": self.max_residual,
-            "tol": self.tol,
-            "passed": self.passed,
-            "worst": {name: list(loc) for name, loc in self.worst.items()},
-        }
+        return asdict(self)
 
 
 def _require_compliance(table: TransitionTable) -> None:
@@ -241,11 +222,13 @@ def verify_nogo(table: TransitionTable, tol: float = 1e-10) -> GramReport:
         + cross_residuals(qplus, qminus, *halting_candidates(table))
     )
     mass = halting_mass_from_table(table)
+    max_residual = max(peaks.values())
     return GramReport(
         **peaks,
         halting_mass=mass,
+        max_residual=max_residual,
         tol=tol,
-        passed=(max(peaks.values()) <= tol and mass <= tol),
+        passed=max_residual <= tol and mass <= tol,
         worst=worst,
     )
 

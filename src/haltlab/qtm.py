@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import types
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -291,12 +291,7 @@ class UnitarityReport:
     dim: int
 
     def as_dict(self) -> dict:
-        return {
-            "max_deviation": self.max_deviation,
-            "tol": self.tol,
-            "passed": self.passed,
-            "dim": self.dim,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

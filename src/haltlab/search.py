@@ -15,25 +15,30 @@ overlaps, and right/left overlaps at head distance two), so no D x D
 matrix is formed in the hot loop; the identity with the global
 computation is covered by tests.
 
-Each restart ends with a projection of the final table onto the unitary
-matrices: polar decomposition of the dense global matrix, followed by a
-refit of the table tensor read off one representative column per key.
-Where the polar factor is not exactly of local-rule form, the leftover
-is reported as the projection residual.  Because the operator comes from
-local rules, its nonzero pattern splits into many small independent
-blocks, and most of them repeat along the tape.  The polar factor is
-computed exactly and kept only as its blocks: blocks of one size form
-one stack, and one SVD serves every block with the same bytes, so no
-dense polar matrix is formed.  Only restarts whose certified unitarity
-deviation is within :data:`FEASIBLE_DEVIATION` may win the search.  A
-restart that ends above it is rescued for up to :data:`RESCUE_ROUNDS`
-rounds: key columns whose squared norm is off 1 are redrawn and the
-table is polished and projected again.
+Each restart is one call of ``_restart``: L-BFGS phases of growing
+penalty weight, a feasibility polish, then a projection of the final
+table onto the unitary matrices, each L-BFGS run going through one
+helper that logs every iterate into the restart's objective trace.  The
+projection is a polar decomposition of the dense global matrix, followed
+by a refit of the table tensor read off one representative column per
+key.  Where the polar factor is not exactly of local-rule form, the
+leftover is reported as the projection residual.  Because the operator
+comes from local rules, its nonzero pattern splits into many small
+independent blocks, and most of them repeat along the tape.  The polar
+factor is computed exactly and kept only as its blocks: blocks of one
+size form one stack, and one SVD serves every block with the same bytes,
+so no dense polar matrix is formed.  The certified table, its mass,
+residual and deviation form the restart's :class:`SearchResult`, built
+once; only restarts whose deviation is within
+:data:`FEASIBLE_DEVIATION` may win the search.  A restart that ends
+above it is rescued for up to :data:`RESCUE_ROUNDS` rounds: key columns
+whose squared norm is off 1 are redrawn, the table is polished and
+projected again, and the least deviating round is kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -332,28 +337,78 @@ def _select_restart(candidates: Sequence[SearchResult]) -> SearchResult:
     return min(candidates, key=lambda c: c.best_unitarity_deviation)
 
 
+def _lbfgs(x, param, lam, mass_weight, iterations, callback, ftol, gtol) -> np.ndarray:
+    """L-BFGS on :func:`_objective` from ``x``; ``callback`` sees each iterate."""
+    res = scipy.optimize.minimize(
+        _objective,
+        x,
+        args=(param, lam, mass_weight),
+        jac=True,
+        method="L-BFGS-B",
+        callback=callback,
+        options={"maxiter": iterations, "ftol": ftol, "gtol": gtol, "maxcor": 30},
+    )
+    return res.x
+
+
 def _polish(x: np.ndarray, param: TableParametrization, iterations: int, record) -> np.ndarray:
     """Feasibility polish: L-BFGS on the penalty alone, no mass term.
 
     Grounds the iterate into the unitary-table manifold before the polar
     projection; ``record`` logs each iterate into the objective trace.
     """
-    res = scipy.optimize.minimize(
-        _objective,
-        x,
-        args=(param, 1.0, 0.0),
-        jac=True,
-        method="L-BFGS-B",
-        callback=lambda xk: record(xk, PENALTY_WEIGHTS[-1]),
-        options={"maxiter": iterations, "ftol": 0.0, "gtol": 1e-16, "maxcor": 30},
-    )
-    return res.x
+    final = PENALTY_WEIGHTS[-1]
+    return _lbfgs(x, param, 1.0, 0.0, iterations, lambda xk: record(xk, final), 0.0, 1e-16)
 
 
-def _certify(x: np.ndarray, param: TableParametrization) -> Tuple[TransitionTable, float, float]:
-    """Projected refit table, projection residual and certified deviation."""
+def _certify(x: np.ndarray, param: TableParametrization, restart: int) -> SearchResult:
+    """Restart ``restart``'s result at ``x``: the projected refit table, its
+    mass, projection residual and certified deviation, and an empty trace."""
     refit, residual = project_to_unitary_table(param.table(x), param.ozawa_compliant)
-    return refit, residual, check_global_unitarity(refit).max_deviation
+    return SearchResult(
+        best_mass=halting_mass_from_table(refit),
+        best_unitarity_deviation=check_global_unitarity(refit).max_deviation,
+        best_projection_residual=residual,
+        best_restart=restart,
+        trace=(),
+        table=refit,
+    )
+
+
+def _restart(param: TableParametrization, iterations: int, seed: int, restart: int) -> SearchResult:
+    """One restart of :func:`search_max_halting_mass`, drawing from
+    ``default_rng([seed, restart])``: penalty phases, polish, projection and
+    rescue rounds, with the objective trace of every L-BFGS iterate."""
+    per_phase = max(1, iterations // (len(PENALTY_WEIGHTS) + 1))
+    polish_iters = max(1, iterations - len(PENALTY_WEIGHTS) * per_phase)
+    rng = np.random.default_rng([seed, restart])
+    x = param.random_start(rng)
+    trace: List[Tuple[int, float]] = []
+
+    def record(xk, lam):
+        # mass - lam * penalty; 0.0 - keeps +0.0 where the two cancel
+        trace.append((len(trace), 0.0 - _objective(xk, param, lam, 1.0)[0]))
+
+    record(x, PENALTY_WEIGHTS[0])
+    for lam in PENALTY_WEIGHTS:
+        x = _lbfgs(x, param, lam, 1.0, per_phase, lambda xk, lam=lam: record(xk, lam), 1e-18, 1e-14)
+        norms = np.linalg.norm(param.tensor(x).reshape(len(param.mask), -1), axis=1)
+        x = _redraw_columns(x, param, rng, ~(norms >= 0.5))  # dead or NaN
+    x = _polish(x, param, polish_iters, record)
+    result = _certify(x, param, restart)
+    # rescue: a polished iterate can sit in a local minimum of the penalty
+    # where key columns share their unit norms; redraw those columns and
+    # polish again, keeping the least deviating round
+    for _round in range(RESCUE_ROUNDS):
+        if result.feasible:
+            break
+        norms = np.linalg.norm(param.tensor(x).reshape(len(param.mask), -1), axis=1)
+        off_unit = ~(np.abs(norms**2 - 1.0) <= FEASIBLE_DEVIATION)
+        if not off_unit.any():
+            break
+        x = _polish(_redraw_columns(x, param, rng, off_unit), param, polish_iters, record)
+        result = min(result, _certify(x, param, restart), key=lambda r: r.best_unitarity_deviation)
+    return replace(result, trace=tuple(trace))
 
 
 def search_max_halting_mass(
@@ -385,59 +440,5 @@ def search_max_halting_mass(
     if iterations < 1:
         raise MachineError("iterations must be >= 1")
     dims.require_dense()
-
-    per_phase = max(1, iterations // (len(PENALTY_WEIGHTS) + 1))
-    polish_iters = max(1, iterations - len(PENALTY_WEIGHTS) * per_phase)
     param = TableParametrization(dims, ozawa_compliant)
-
-    candidates = []
-    for restart in range(restarts):
-        rng = np.random.default_rng([seed, restart])
-        x = param.random_start(rng)
-        trace: List[Tuple[int, float]] = []
-
-        def record(xk, lam):
-            # mass - lam * penalty; 0.0 - keeps +0.0 where the two cancel
-            trace.append((len(trace), 0.0 - _objective(xk, param, lam, 1.0)[0]))
-
-        record(x, PENALTY_WEIGHTS[0])
-        for lam in PENALTY_WEIGHTS:
-            res = scipy.optimize.minimize(
-                _objective,
-                x,
-                args=(param, lam, 1.0),
-                jac=True,
-                method="L-BFGS-B",
-                callback=lambda xk, lam=lam: record(xk, lam),
-                options={"maxiter": per_phase, "ftol": 1e-18, "gtol": 1e-14, "maxcor": 30},
-            )
-            norms = np.linalg.norm(param.tensor(res.x).reshape(len(param.mask), -1), axis=1)
-            x = _redraw_columns(res.x, param, rng, ~(norms >= 0.5))  # dead or NaN
-        x = _polish(x, param, polish_iters, record)
-        certified = _certify(x, param)
-        # rescue: a polished iterate can sit in a local minimum of the
-        # penalty where key columns share their unit norms; redraw those
-        # columns and polish again, keeping the least deviating round
-        for _round in range(RESCUE_ROUNDS):
-            if certified[2] <= FEASIBLE_DEVIATION:
-                break
-            norms = np.linalg.norm(param.tensor(x).reshape(len(param.mask), -1), axis=1)
-            off_unit = ~(np.abs(norms**2 - 1.0) <= FEASIBLE_DEVIATION)
-            if not off_unit.any():
-                break
-            x = _polish(_redraw_columns(x, param, rng, off_unit), param, polish_iters, record)
-            certified = min(certified, _certify(x, param), key=lambda c: c[2])
-        refit, projection_residual, deviation = certified
-        mass = halting_mass_from_table(refit)
-
-        candidates.append(
-            SearchResult(
-                best_mass=mass,
-                best_unitarity_deviation=deviation,
-                best_projection_residual=projection_residual,
-                best_restart=restart,
-                trace=tuple(trace),
-                table=refit,
-            )
-        )
-    return _select_restart(candidates)
+    return _select_restart([_restart(param, iterations, seed, r) for r in range(restarts)])

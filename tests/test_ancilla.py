@@ -91,6 +91,46 @@ def test_shared_policy_takes_no_maps():
         AncillaPolicy(AncillaPolicy.SHARED, {1: {0: 0}})
 
 
+SHARED = AncillaPolicy.shared()
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        pytest.param(lambda: BranchSpec(id=1, orbit=("a",), halt_step=-1),
+                     BranchModelError, "branch 1: halt_step must be >= 0", id="halt-step"),
+        pytest.param(lambda: AncillaPolicy("LoopOrbit"),
+                     PolicyError, "unknown policy kind 'LoopOrbit'", id="policy-kind"),
+        pytest.param(lambda: run_superposition(_pair(3, 5), EQUAL_AMPS, SHARED, 4).state(5),
+                     BranchModelError, "step 5 outside 0..4", id="trace-step"),
+        pytest.param(lambda: run_superposition(_pair(3, 5), EQUAL_AMPS, SHARED, -1),
+                     BranchModelError, "t_max must be >= 0", id="t-max"),
+        pytest.param(lambda: run_superposition(_pair(3, 5), (1.0,), SHARED, 4),
+                     BranchModelError, "need one amplitude per branch", id="amp-count"),
+        pytest.param(lambda: run_superposition([_branch(1, "a", 3), _branch(1, "b", 5)],
+                                               EQUAL_AMPS, SHARED, 4),
+                     BranchModelError, "branch ids must be distinct", id="duplicate-id"),
+        pytest.param(lambda: run_superposition(_pair(3, 5), EQUAL_AMPS,
+                                               AncillaPolicy.custom({2: {}, 7: {0: 0}}), 4),
+                     PolicyError, "CustomOrbit map for branch 7, which no branch has",
+                     id="map-without-branch"),
+        # ignoring the map for branch 3 would drop the revival that the same
+        # map gives branch 2, so the run must refuse it
+        pytest.param(lambda: monitored_run(_pair(3, 5), EQUAL_AMPS,
+                                           AncillaPolicy.permuted({3: {0: 2, 2: 0}}), 8),
+                     PolicyError, "PermutedOrbit map for branch 3, which no branch has",
+                     id="permutation-without-branch"),
+        pytest.param(lambda: monitoring_effect(_pair(3, 5), EQUAL_AMPS, SHARED, (0, 0), 2),
+                     BranchModelError, "invalid branch pair (0, 0)", id="monitoring-pair"),
+    ],
+)
+def test_input_checks(call, error, fragment):
+    with pytest.raises(BranchModelError) as caught:
+        call()
+    assert type(caught.value) is error
+    assert fragment in str(caught.value)
+
+
 # -- running superpositions ---------------------------------------------------
 
 def test_single_branch_trace_is_basis_vector():

@@ -247,6 +247,17 @@ def test_search_zero_restarts_exits_2(capsys):
     assert "restarts" in err
 
 
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        pytest.param(("search", "--dims", "M=2,S=2,N=6", "--iterations", "0"), 2,
+                     "error: --iterations must be >= 1\n", id="search-iterations"),
+    ],
+)
+def test_input_checks(capsys, argv, code, err):
+    assert run_cli(capsys, *argv) == (code, "", err)
+
+
 def test_search_dimension_cap_exits_2(capsys):
     code, _, err = run_cli(capsys, "search", "--dims", "M=2,S=2,N=8")
     assert code == 2
@@ -343,6 +354,23 @@ def test_interfere_output_matches_golden_bytes(capsys, scenario):
     golden = FIXTURES / "golden" / f"interfere_{scenario}.csv"
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == golden.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["check", "nogo"])
+@pytest.mark.parametrize(
+    "machine",
+    ["right_shift", "halted_tape_writer", "leaky_nonunitary", "halt_flip_witness", "malformed"],
+)
+def test_check_and_nogo_match_golden_bytes(capsys, monkeypatch, command, machine):
+    """Recorded stdout, stderr and exit code, run from ``fixtures`` so that
+    the echoed ``machine`` field is the bare file name; they also pin the
+    JSON key order that the report fields carry."""
+    monkeypatch.chdir(FIXTURES)
+    code, out, err = run_cli(capsys, command, f"{machine}.json")
+    golden = FIXTURES / "golden" / f"{command}_{machine}"
+    assert out.encode("utf-8") == golden.with_suffix(".stdout").read_bytes()
+    assert err.encode("utf-8") == golden.with_suffix(".stderr").read_bytes()
+    assert code == int(golden.with_suffix(".exit").read_text())
 
 
 @pytest.mark.parametrize(
@@ -446,6 +474,18 @@ def test_interfere_refuses_two_keys_for_one_branch(capsys, tmp_path):
     code, out, err = run_cli(capsys, "interfere", path)
     assert (code, out) == (2, "")
     assert err.startswith("parse error: policy.permutations: branch id key '02' ")
+
+
+def test_interfere_refuses_a_map_for_a_missing_branch(capsys, tmp_path):
+    # the fixture's branches are 1 and 2: ignoring the map for 3 would
+    # print rows without the t = 5 revival of pair 0,1 and exit 0
+    def alter(doc):
+        doc["policy"]["permutations"] = {"3": {"0": 2, "2": 0}}
+
+    path = _altered_fixture(tmp_path, "scenario_permuted.json", alter)
+    code, out, err = run_cli(capsys, "interfere", path, "--pair", "0,1")
+    assert (code, out) == (1, "")
+    assert err == "error: PermutedOrbit map for branch 3, which no branch has\n"
 
 
 @pytest.mark.parametrize("amp", [1e155, 1e200])

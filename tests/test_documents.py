@@ -222,3 +222,83 @@ def test_load_functions_read_files(tmp_path):
     scenario = load_scenario(FIXTURES / "scenario_equal_halt.json")
     assert scenario.t_max == 20
     assert len(scenario.branches) == 2
+
+
+def _permuted(alter):
+    return _altered("scenario_permuted.json", alter)
+
+
+def _first_branch(alter):
+    return _permuted(lambda doc: alter(doc["branches"][0]))
+
+
+def _right_shift(alter):
+    return _altered("right_shift.json", alter)
+
+
+@pytest.mark.parametrize(
+    "load, text, fragment",
+    [
+        pytest.param(loads_machine, _right_shift(lambda d: d.update(dims=[2, 2, 6])),
+                     "dims: expected an object, got list", id="holder-not-object"),
+        pytest.param(loads_machine, _right_shift(lambda d: d.pop("rules")),
+                     "document: missing field 'rules'", id="missing-field"),
+        pytest.param(loads_scenario,
+                     _permuted(lambda d: d["amps"].__setitem__(0, "AMP"))
+                     .replace('"AMP"', "[1e400, 0.0]"),
+                     "amps[0]: amplitude must be finite", id="json-1e400"),
+        pytest.param(loads_machine, "[1, 2]", "document: top level must be an object",
+                     id="top-level"),
+        pytest.param(loads_machine, _right_shift(lambda d: d.update(rules={})),
+                     "rules: expected a list", id="rules-not-list"),
+        pytest.param(loads_machine, _right_shift(lambda d: d["rules"][0].update(out={})),
+                     "rules[0].out: expected a list", id="out-not-list"),
+        pytest.param(loads_scenario, _first_branch(lambda b: b.update(orbit="a0")),
+                     "branches[0].orbit: expected a list of labels", id="orbit-not-list"),
+        pytest.param(loads_scenario, _permuted(lambda d: d.update(branches=[])),
+                     "branches: expected a non-empty list", id="no-branches"),
+        pytest.param(loads_scenario, _permuted(lambda d: d["policy"].update(permutations=[])),
+                     "policy.permutations: expected an object", id="maps-not-object"),
+        pytest.param(loads_scenario,
+                     _permuted(lambda d: d["policy"]["permutations"].update({"2": [0, 2]})),
+                     "policy.permutations[2]: expected an object of index -> index",
+                     id="map-not-object"),
+        pytest.param(loads_scenario, _first_branch(lambda b: b["orbit"].__setitem__(0, 1.5)),
+                     "branches[0].orbit: label 1.5 must be string or integer", id="label-type"),
+        pytest.param(loads_scenario, _first_branch(lambda b: b.update(post_halt_label=True)),
+                     "branches[0].post_halt_label: must be string or integer",
+                     id="post-halt-label-type"),
+        pytest.param(loads_scenario, _permuted(lambda d: d["policy"].update(kind="LoopOrbit")),
+                     "policy.kind: unknown kind 'LoopOrbit'", id="policy-kind"),
+    ],
+)
+def test_input_checks(load, text, fragment):
+    with pytest.raises(DocumentError) as caught:
+        load(text)
+    assert type(caught.value) is DocumentError
+    assert fragment in str(caught.value)
+
+
+def test_custom_orbit_scenario_round_trips():
+    text = _permuted(
+        lambda d: d.update(policy={"kind": "CustomOrbit", "maps": {"1": {"0": 3, "1": 0}}})
+    )
+    scenario = loads_scenario(text)
+    assert scenario.policy.maps == {1: {0: 3, 1: 0}}
+    once = dumps_scenario(scenario)
+    assert json.loads(once) == json.loads(text)
+    assert dumps_scenario(loads_scenario(once)) == once
+
+
+def test_orbit_ending_at_its_halt_step_round_trips_its_post_halt_label():
+    def cut_orbit(branch):
+        branch["orbit"] = branch["orbit"][: branch["halt_step"]]
+        branch["post_halt_label"] = "frozen"
+
+    text = _first_branch(cut_orbit)
+    scenario = loads_scenario(text)
+    assert scenario.branches[0].label_at(3) == "frozen"
+    once = dumps_scenario(scenario)
+    assert json.loads(once) == json.loads(text)
+    assert "post_halt_label" not in json.loads(once)["branches"][1]
+    assert dumps_scenario(loads_scenario(once)) == once

@@ -215,3 +215,18 @@ def test_sum_of_squares_overflows_to_inf():
     assert sum_of_squares([1e200]) == math.inf
     assert sum_of_squares([1.3e154, 1.3e154j]) == math.inf  # each square fits, the sum does not
     assert sum_of_squares([3.0, 4j]) == 25.0
+
+
+@pytest.mark.parametrize(
+    "labels, matrix, fragment",
+    [
+        pytest.param(("a",), np.eye(2), "matrix shape (2, 2) does not match 1 labels", id="shape"),
+        pytest.param(("a", "b"), np.array([[1.0, 0.0], [0.0, math.nan]]),
+                     "non-finite density matrix entry", id="non-finite"),
+    ],
+)
+def test_input_checks(labels, matrix, fragment):
+    with pytest.raises(HilbertError) as caught:
+        DensityMatrix(labels, matrix)
+    assert type(caught.value) is HilbertError
+    assert fragment in str(caught.value)

@@ -234,6 +234,20 @@ def test_verify_nogo_requires_six_cells():
         verify_nogo(right_shift_table(MachineDims(2, 2, 5)))
 
 
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        pytest.param(lambda: random_compliant_table(MachineDims(2, 2, 2), np.random.default_rng(0)),
+                     "the generator needs at least 3 tape cells", id="generator-cells"),
+    ],
+)
+def test_input_checks(call, fragment):
+    with pytest.raises(MachineError) as caught:
+        call()
+    assert type(caught.value) is MachineError
+    assert fragment in str(caught.value)
+
+
 def test_verify_nogo_refuses_non_unitary_table():
     # compliant, halting mass 0.09, but not unitary: the verifier must
     # refuse rather than report, naming the failing check

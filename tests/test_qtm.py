@@ -1,6 +1,7 @@
 """Machine model: step operator, global matrix, unitarity and compliance."""
 
 import itertools
+import math
 import pathlib
 
 import numpy as np
@@ -264,6 +265,39 @@ def test_table_validation_rejects_duplicates_and_gaps():
     bad_move[(0, 0, 0)] = [(0, 0, 0, 0, 1.0)]
     with pytest.raises(MachineError):
         TransitionTable(dims, bad_move)
+
+
+def _with_outcome(key, outcome):
+    """Rules of the 1x2x3 right shift, with ``key`` listing only ``outcome``."""
+    rules = dict(right_shift_table(MachineDims(1, 2, 3)).rules)
+    rules[key] = [outcome]
+    return rules
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        pytest.param(lambda: TransitionTable(MachineDims(1, 2, 3),
+                                             _with_outcome((1, 0, 0), (0, 0, 1, 0, 1.0))),
+                     "rule keys outside dims: [(1, 0, 0)]", id="key-outside-dims"),
+        pytest.param(lambda: TransitionTable(MachineDims(1, 2, 3),
+                                             _with_outcome((0, 1, 0), (0, 2, 1, 0, 1.0))),
+                     "outcome target out of range at key (0, 1, 0)", id="target-range"),
+        pytest.param(lambda: TransitionTable(MachineDims(1, 2, 3),
+                                             _with_outcome((0, 1, 0), (0, 1, 1, 2, 1.0))),
+                     "halt bit must be 0 or 1, got 2 at key (0, 1, 0)", id="halt-bit"),
+        pytest.param(lambda: TransitionTable(MachineDims(1, 2, 3),
+                                             _with_outcome((0, 1, 0), (0, 1, 1, 0, math.inf))),
+                     "non-finite amplitude at key (0, 1, 0)", id="non-finite"),
+        pytest.param(lambda: TransitionTable.from_tensor(MachineDims(1, 2, 3), np.zeros((4, 1))),
+                     "tensor shape (4, 1) is not (4, 1, 2, 2, 2)", id="tensor-shape"),
+    ],
+)
+def test_input_checks(call, fragment):
+    with pytest.raises(MachineError) as caught:
+        call()
+    assert type(caught.value) is MachineError
+    assert fragment in str(caught.value)
 
 
 def test_compliance_violations_reported():

@@ -1,8 +1,11 @@
 """Penalty kernel, gradient, unitary projection and the mass search."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from haltlab import search
 from haltlab.nogo import (
     halting_mass_from_table,
     random_compliant_table,
@@ -309,6 +312,27 @@ def test_without_feasible_restart_the_smallest_deviation_is_reported():
                               _candidate(2, 0.5, 0.2)])
     assert chosen.best_restart == 1
     assert not chosen.feasible
+
+
+def test_rescue_stops_at_once_when_no_key_column_is_off_unit(monkeypatch):
+    # every polished key column is a unit vector, so a deviation reported
+    # as 1.0 leaves the rescue no column to redraw: the restart is
+    # projected once and stays infeasible
+    project = search.project_to_unitary_table
+    projected = []
+
+    def counting_projection(table, ozawa_compliant):
+        projected.append(table)
+        return project(table, ozawa_compliant)
+
+    monkeypatch.setattr(search, "project_to_unitary_table", counting_projection)
+    monkeypatch.setattr(
+        search, "check_global_unitarity", lambda table: SimpleNamespace(max_deviation=1.0)
+    )
+    result = search_max_halting_mass(MachineDims(2, 2, 6), restarts=1, iterations=400, seed=3)
+    assert len(projected) == 1
+    assert result.best_unitarity_deviation == 1.0
+    assert not result.feasible
 
 
 def test_search_validates_arguments():
