@@ -248,9 +248,10 @@ def run_superposition(
     composite label, which the branch bookkeeping cannot represent.
 
     The amplitudes are validated and pruned once, keyed by branch
-    position, and each branch's labels are built once as a column.  A
-    step whose composite labels are pairwise distinct relabels them and
-    keeps their norm; a step where labels collide builds a new state, so
+    position, and each branch's labels are built once as a column.  Each
+    step maps its composite labels to the validated amplitudes; when the
+    labels are pairwise distinct it drops the pruned positions and keeps
+    the validated norm, and when labels collide it builds a new state, so
     the collision merges or raises.  Steps are checked in order, so the
     first failing step raises; an uncovered custom offset raises at the
     step that reaches it, for the first such branch in position order.
@@ -274,22 +275,17 @@ def run_superposition(
         raise BranchModelError("duplicated branch: same orbit and halt data")
 
     validated = SparseState(enumerate(amps))
-    kept = validated.items()
-    kept_norm = validated.norm()
     n = len(branches)
-    kept_amps = [a for _, a in kept] if len(kept) == n else None
+    stored = [validated.amplitude(k) for k in range(n)]
+    pruned = [k for k in range(n) if k not in validated]
+    kept_norm = validated.norm()
     columns = [_label_column(b, policy, t_max) for b in branches]
     states = []
     for t, labels in enumerate(zip(*columns)):
-        if kept_amps is not None:
-            # nothing pruned: the dict has n entries iff the labels are distinct
-            entries = dict(zip(labels, kept_amps))
-            distinct = len(entries) == n
-        else:
-            distinct = len(set(labels)) == n
-            if distinct:
-                entries = {labels[k]: a for k, a in kept}
-        if distinct:
+        entries = dict(zip(labels, stored))
+        if len(entries) == n:  # the labels are distinct
+            for k in pruned:
+                del entries[labels[k]]
             state = SparseState._adopt(entries)
             norm = kept_norm
         else:

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -50,13 +52,11 @@ def _dims_argument(text: str) -> MachineDims:
     try:
         for item in text.split(","):
             name, value = item.split("=")
+            if name.strip() in parts:
+                raise ValueError(f"{name} repeated")
             parts[name.strip()] = int(value)
-        return MachineDims(
-            num_head_states=parts.pop("M"),
-            alphabet_size=parts.pop("S"),
-            tape_cells=parts.pop("N"),
-        )
-    except (ValueError, KeyError, MachineError):
+        return MachineDims(**parts)  # an unknown or missing name is a TypeError
+    except (ValueError, TypeError, MachineError):
         raise argparse.ArgumentTypeError(
             f"expected dims like 'M=2,S=2,N=6', got {text!r}"
         ) from None
@@ -125,7 +125,18 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _require_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise UsageError(f"--tol must be finite and >= 0, got {tol!r}")
+
+
+def _require_seed(seed: int) -> None:
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_check(args) -> int:
+    _require_tol(args.tol)
     table = load_machine(args.machine)
     unitarity = check_global_unitarity(table, tol=args.tol)
     compliance = check_ozawa_compliance(table)
@@ -145,6 +156,7 @@ def cmd_check(args) -> int:
 def cmd_nogo(args) -> int:
     if (args.machine is None) == (args.random is None):
         raise UsageError("provide a machine file or --random DIMS, not both")
+    _require_tol(args.tol)
 
     if args.machine is not None:
         header = {"format_version": FORMAT_VERSION, "mode": "file", "machine": args.machine}
@@ -159,6 +171,7 @@ def cmd_nogo(args) -> int:
 
     if args.samples < 1:
         raise UsageError("--samples must be >= 1")
+    _require_seed(args.seed)
     dims = args.random
     if dims.N >= 3:
         # the errors verify_nogo would end in, raised before a draw spends
@@ -182,7 +195,7 @@ def cmd_nogo(args) -> int:
         {
             "format_version": FORMAT_VERSION,
             "mode": "random",
-            "dims": {"M": dims.M, "S": dims.S, "N": dims.N},
+            "dims": asdict(dims),
             "samples": args.samples,
             "seed": args.seed,
             "tol": args.tol,
@@ -200,6 +213,7 @@ def cmd_search(args) -> int:
         raise UsageError("--restarts must be >= 1")
     if args.iterations < 1:
         raise UsageError("--iterations must be >= 1")
+    _require_seed(args.seed)
     result = search_max_halting_mass(
         args.dims,
         restarts=args.restarts,
@@ -209,7 +223,7 @@ def cmd_search(args) -> int:
     )
     doc = {
         "format_version": FORMAT_VERSION,
-        "dims": {"M": args.dims.M, "S": args.dims.S, "N": args.dims.N},
+        "dims": asdict(args.dims),
         "restarts": args.restarts,
         "iterations": args.iterations,
         "seed": args.seed,
@@ -280,7 +294,7 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, FileNotFoundError, MachineError) as exc:
+    except (UsageError, OSError, MachineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BranchModelError, NonFiniteReport) as exc:

@@ -11,12 +11,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Tuple
 
 from .ancilla import AncillaPolicy, BranchSpec, PolicyError
 from .hilbert import sum_of_squares
-from .qtm import DENSE_DIMENSION_CAP, MachineDims, MachineError, TransitionTable
+from .qtm import DENSE_DIMENSION_CAP, MachineDims, MachineError, TransitionTable, rule_keys
 
 __all__ = [
     "FORMAT_VERSION",
@@ -118,11 +118,7 @@ def loads_machine(text: str) -> TransitionTable:
     doc = _parse_json(text)
     _check_version(doc)
     dims_obj = _need(doc, "dims", "document")
-    dims = MachineDims(
-        num_head_states=_int_field(dims_obj, "M", "dims", 1),
-        alphabet_size=_int_field(dims_obj, "S", "dims", 1),
-        tape_cells=_int_field(dims_obj, "N", "dims", 1),
-    )
+    dims = MachineDims(*(_int_field(dims_obj, name, "dims", 1) for name in ("M", "S", "N")))
     rules_obj = _need(doc, "rules", "document")
     if not isinstance(rules_obj, list):
         raise DocumentError("rules", "expected a list")
@@ -157,13 +153,7 @@ def loads_machine(text: str) -> TransitionTable:
     if len(rules) < 2 * dims.M * dims.S:
         # named here, before the table lists all 2*M*S keys, which a
         # document with huge dims could not afford
-        missing = (
-            (q, sym, halt)  # sorted order, generated lazily
-            for q in range(dims.M)
-            for sym in range(dims.S)
-            for halt in (0, 1)
-            if (q, sym, halt) not in rules
-        )
+        missing = (key for key in rule_keys(dims) if key not in rules)
         raise DocumentError("rules", f"missing rule keys: {list(itertools.islice(missing, 4))}")
     if dims.table_shape[0] > DENSE_DIMENSION_CAP:
         # D >= 2*M*S, so this operator is past the dense cap too: refused
@@ -176,9 +166,17 @@ def loads_machine(text: str) -> TransitionTable:
         raise DocumentError("rules", str(exc)) from None
 
 
-def load_machine(path) -> TransitionTable:
+def _read_text(path) -> str:
     with open(path, "r", encoding="utf-8") as handle:
-        return loads_machine(handle.read())
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            reason = f"not UTF-8 text: {exc.reason} at byte {exc.start}"
+            raise DocumentError("document", reason) from None
+
+
+def load_machine(path) -> TransitionTable:
+    return loads_machine(_read_text(path))
 
 
 def machine_to_doc(table: TransitionTable) -> dict:
@@ -197,10 +195,9 @@ def machine_to_doc(table: TransitionTable) -> dict:
             for q2, s2, move, h2, amp in listed[key]
         ]
         rules.append({"q": q, "sym": sym, "halt": halt, "out": out})
-    dims = table.dims
     return {
         "format_version": FORMAT_VERSION,
-        "dims": {"M": dims.M, "S": dims.S, "N": dims.N},
+        "dims": asdict(table.dims),
         "rules": rules,
     }
 
@@ -216,6 +213,14 @@ def dumps_machine(table: TransitionTable) -> str:
 # ---------------------------------------------------------------------------
 # scenario documents
 # ---------------------------------------------------------------------------
+
+#: document field holding each policy kind's per-branch maps
+_MAP_FIELDS = {
+    AncillaPolicy.SHARED: None,
+    AncillaPolicy.PERMUTED: "permutations",
+    AncillaPolicy.CUSTOM: "maps",
+}
+
 
 @dataclass(frozen=True)
 class ScenarioDef:
@@ -312,15 +317,12 @@ def loads_scenario(text: str) -> ScenarioDef:
 
     policy_obj = _need(doc, "policy", "document")
     kind = _need(policy_obj, "kind", "policy")
+    if not isinstance(kind, str) or kind not in _MAP_FIELDS:
+        raise DocumentError("policy.kind", f"unknown kind {kind!r}")
+    name = _MAP_FIELDS[kind]
     try:
-        if kind == AncillaPolicy.SHARED:
-            policy = AncillaPolicy.shared()
-        elif kind in (AncillaPolicy.PERMUTED, AncillaPolicy.CUSTOM):
-            name = "permutations" if kind == AncillaPolicy.PERMUTED else "maps"
-            maps = _parse_policy_maps(_need(policy_obj, name, "policy"), f"policy.{name}")
-            policy = AncillaPolicy(kind, maps)
-        else:
-            raise DocumentError("policy.kind", f"unknown kind {kind!r}")
+        maps = name and _parse_policy_maps(_need(policy_obj, name, "policy"), f"policy.{name}")
+        policy = AncillaPolicy(kind, maps)
     except PolicyError as exc:
         raise DocumentError("policy", str(exc)) from None
 
@@ -329,8 +331,7 @@ def loads_scenario(text: str) -> ScenarioDef:
 
 
 def load_scenario(path) -> ScenarioDef:
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads_scenario(handle.read())
+    return loads_scenario(_read_text(path))
 
 
 def scenario_to_doc(scenario: ScenarioDef) -> dict:
@@ -341,13 +342,9 @@ def scenario_to_doc(scenario: ScenarioDef) -> dict:
             entry["post_halt_label"] = b.post_halt_label
         branches.append(entry)
     policy: dict = {"kind": scenario.policy.kind}
-    if scenario.policy.kind == AncillaPolicy.PERMUTED:
-        policy["permutations"] = {
-            str(bid): {str(k): v for k, v in sorted(mapping.items())}
-            for bid, mapping in sorted(scenario.policy.maps.items())
-        }
-    elif scenario.policy.kind == AncillaPolicy.CUSTOM:
-        policy["maps"] = {
+    name = _MAP_FIELDS[scenario.policy.kind]
+    if name:
+        policy[name] = {
             str(bid): {str(k): v for k, v in sorted(mapping.items())}
             for bid, mapping in sorted(scenario.policy.maps.items())
         }

@@ -258,84 +258,69 @@ def _random_projector(n: int, rank: int, rng: np.random.Generator) -> np.ndarray
     return basis @ basis.conj().T
 
 
-class _MoveSplit:
-    """Orthogonal split of the (head state, halt bit) space.
-
-    Right-moving outcome vectors are confined to the subspace W = W0 + W1
-    (one random block per halt-bit slice) and left-moving ones to its
-    complement.  Cross-overlaps between right and left parts of any two
-    key columns then vanish identically, which is exactly what kills the
-    distance-two interference channels of the global operator.
-    """
-
-    def __init__(self, m: int, rng: np.random.Generator):
-        self.p0 = _random_projector(m, int(rng.integers(0, m + 1)), rng)
-        self.p1 = _random_projector(m, int(rng.integers(0, m + 1)), rng)
-
-    def confine(self, vec: np.ndarray) -> np.ndarray:
-        """Project a key vector (M, S, move, halt') into the split subspace."""
-        m = vec.shape[0]
-        eye = np.eye(m)
-        out = np.empty_like(vec)
-        # move index 0 is a left move, 1 is a right move
-        out[:, :, 1, 0] = np.einsum("ab,bs->as", self.p0, vec[:, :, 1, 0])
-        out[:, :, 1, 1] = np.einsum("ab,bs->as", self.p1, vec[:, :, 1, 1])
-        out[:, :, 0, 0] = np.einsum("ab,bs->as", eye - self.p0, vec[:, :, 0, 0])
-        out[:, :, 0, 1] = np.einsum("ab,bs->as", eye - self.p1, vec[:, :, 0, 1])
-        return out
-
-
 def random_compliant_table(dims: MachineDims, rng: np.random.Generator) -> TransitionTable:
     """Draw a random compliant table whose global operator is unitary.
 
+    The table is written straight into its tensor, whose halted keys are
+    the rows ``[1::2]`` and running keys the rows ``[0::2]``, each in key
+    order.  A random move split of the (head state, halt bit) space comes
+    first: right-moving outcome vectors are confined to the subspace
+    W = W0 + W1 (one random block per halt-bit slice, with projectors p0
+    and p1) and left-moving ones to its complement.  Cross-overlaps
+    between right and left parts of any two key columns then vanish
+    identically, which is exactly what kills the distance-two
+    interference channels of the global operator.
+
     The halted sector takes a Haar-random head unitary per scanned symbol,
-    split into right/left partial isometries by the shared move split, so
-    its identities hold by construction.  The running keys start from raw
-    complex Gaussians confined to the same split and are completed by
-    modified Gram-Schmidt (run twice) against all previously fixed key
-    columns, in lexicographic key order.  The raw vectors carry halting
-    components; orthogonalization against the halted sector is what
-    removes them.
+    split into right/left partial isometries by p1, so its identities
+    hold by construction.  The running keys start from raw complex
+    Gaussians confined to the same split and are completed by modified
+    Gram-Schmidt (run twice) against all previously fixed key columns:
+    the halted keys, then the running keys before them.  The raw vectors
+    carry halting components; orthogonalization against the halted sector
+    is what removes them.
     """
     if dims.N < 3:
         raise MachineError("the generator needs at least 3 tape cells")
     m, s = dims.M, dims.S
-    split = _MoveSplit(m, rng)
+    eye = np.eye(m)
+    p0 = _random_projector(m, int(rng.integers(0, m + 1)), rng)
+    p1 = _random_projector(m, int(rng.integers(0, m + 1)), rng)
+    # (move, halt') -> projector; move index 0 is a left move, 1 a right move
+    split = {(1, 0): p0, (1, 1): p1, (0, 0): eye - p0, (0, 1): eye - p1}
 
-    key_vectors: Dict[tuple, np.ndarray] = {}
+    table = np.zeros(dims.table_shape, dtype=complex)
+    halted, running = table[1::2], table[0::2]
     for xi in range(s):
         head = haar_unitary(m, rng)
-        a_block = split.p1 @ head
-        b_block = (np.eye(m) - split.p1) @ head
-        for j in range(m):
-            vec = np.zeros((m, s, 2, 2), dtype=complex)
-            vec[:, xi, 1, 1] = a_block[:, j]
-            vec[:, xi, 0, 1] = b_block[:, j]
-            key_vectors[(j, xi, 1)] = vec
+        # rows xi::s are the keys (j, xi, 1); columns of head are their vectors
+        halted[xi::s, :, xi, 1, 1] = (split[1, 1] @ head).T
+        halted[xi::s, :, xi, 0, 1] = (split[0, 1] @ head).T
 
-    fixed = [key_vectors[k] for k in sorted(key_vectors)]
-    for key in sorted((q, sym, 0) for q in range(m) for sym in range(s)):
+    fixed = list(halted)
+    for row in running:
         for _attempt in range(64):
             raw = rng.standard_normal((m, s, 2, 2)) + 1j * rng.standard_normal((m, s, 2, 2))
-            vec = split.confine(raw)
+            vec = np.empty_like(raw)
+            for (move, h2), proj in split.items():
+                vec[:, :, move, h2] = np.einsum("ab,bs->as", proj, raw[:, :, move, h2])
             for _pass in range(2):  # re-orthogonalize once for 1e-16 defects
                 for prev in fixed:
                     vec = vec - np.vdot(prev, vec) * prev
             nrm = float(np.linalg.norm(vec))
             if nrm > 1e-8:
-                vec = vec / nrm
                 break
         else:  # pragma: no cover - probability zero for continuous draws
             raise MachineError("failed to complete a unitary table")
-        key_vectors[key] = vec
-        fixed.append(vec)
+        row[...] = vec / nrm
+        fixed.append(row)
 
-    frame = np.stack([v.reshape(-1) for v in fixed])
-    defect = float(np.max(np.abs(frame @ frame.conj().T - np.eye(len(fixed)))))
+    frame = table.reshape(len(table), -1)
+    defect = float(np.max(np.abs(frame @ frame.conj().T - np.eye(len(frame)))))
     if defect > CONSTRUCTION_TOL:  # pragma: no cover - construction gate
         raise MachineError(f"completion left an orthonormality defect of {defect:.3e}")
 
-    return TransitionTable.from_tensor(dims, np.stack([key_vectors[k] for k in rule_keys(dims)]))
+    return TransitionTable.from_tensor(dims, table)
 
 
 def halting_witness_table(dims: MachineDims) -> TransitionTable:
@@ -345,10 +330,5 @@ def halting_witness_table(dims: MachineDims) -> TransitionTable:
     tape untouched: a permutation of the configuration space, hence exactly
     unitary, with one unit of halting mass per running key.
     """
-    rules = {
-        (q, sym, hb): [(q, sym, 1, 1 - hb, 1.0 + 0j)]
-        for q in range(dims.M)
-        for sym in range(dims.S)
-        for hb in (0, 1)
-    }
+    rules = {(q, sym, hb): [(q, sym, 1, 1 - hb, 1.0 + 0j)] for q, sym, hb in rule_keys(dims)}
     return TransitionTable(dims, rules)

@@ -7,7 +7,8 @@ the rule at the head position of every configuration in superposition.
 
 A transition table is held as one complex amplitude tensor of shape
 (2*M*S, M, S, 2, 2), indexed (key, q', sigma', move, halt'), with keys in
-sorted (q, sigma, halt) order and the move axis holding -1 before +1,
+the sorted (q, sigma, halt) order of :func:`rule_keys`, the one place that
+order is spelled out, and the move axis holding -1 before +1,
 plus a boolean ``support`` tensor of the same shape that marks the listed
 outcomes.  The outcome lists, the halted-sector compliance check and the
 global operator are all slices, masks or index arithmetic on that pair;
@@ -25,7 +26,7 @@ from __future__ import annotations
 import math
 import types
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,28 +71,14 @@ class DimensionCapError(MachineError):
 class MachineDims:
     """Machine sizes: M head states, S tape symbols, N tape cells."""
 
-    num_head_states: int
-    alphabet_size: int
-    tape_cells: int
+    M: int
+    S: int
+    N: int
 
     def __post_init__(self):
-        for name in ("num_head_states", "alphabet_size", "tape_cells"):
-            val = getattr(self, name)
+        for name, val in asdict(self).items():
             if not isinstance(val, int) or val < 1:
                 raise MachineError(f"{name} must be a positive integer, got {val!r}")
-
-    # short aliases, matching the usual M/S/N notation
-    @property
-    def M(self) -> int:
-        return self.num_head_states
-
-    @property
-    def S(self) -> int:
-        return self.alphabet_size
-
-    @property
-    def N(self) -> int:
-        return self.tape_cells
 
     @property
     def dim(self) -> int:
@@ -125,9 +112,13 @@ RuleKey = Tuple[int, int, int]
 Outcome = Tuple[int, int, int, int, complex]
 
 
-def rule_keys(dims: MachineDims) -> List[RuleKey]:
-    """All rule keys in sorted (q, sigma, halt) order: the key axis of a table."""
-    return [(q, s, hb) for q in range(dims.M) for s in range(dims.S) for hb in (0, 1)]
+def rule_keys(dims: MachineDims) -> Iterator[RuleKey]:
+    """All rule keys in sorted (q, sigma, halt) order: the key axis of a table.
+
+    Generated lazily, so that dims too large to list can still name their
+    first keys; callers that index keys take ``list(rule_keys(dims))``.
+    """
+    return ((q, s, hb) for q in range(dims.M) for s in range(dims.S) for hb in (0, 1))
 
 
 def compliant_slots(dims: MachineDims) -> np.ndarray:
@@ -168,7 +159,7 @@ class TransitionTable:
     __slots__ = ("dims", "amplitudes", "support")
 
     def __init__(self, dims: MachineDims, rules: Mapping[RuleKey, Sequence[Outcome]]):
-        keys = rule_keys(dims)
+        keys = list(rule_keys(dims))
         expected = set(keys)
         unknown = set(rules) - expected
         if unknown:
@@ -204,7 +195,7 @@ class TransitionTable:
             raise MachineError(f"tensor shape {amplitudes.shape} is not {dims.table_shape}")
         bad = np.argwhere(~np.isfinite(amplitudes))
         if len(bad):
-            raise MachineError(f"non-finite amplitude at key {rule_keys(dims)[bad[0, 0]]}")
+            raise MachineError(f"non-finite amplitude at key {list(rule_keys(dims))[bad[0, 0]]}")
         support = np.abs(amplitudes) > AMPLITUDE_FLOOR
         table = object.__new__(cls)
         table._freeze(dims, np.where(support, amplitudes, 0), support)
@@ -226,7 +217,7 @@ class TransitionTable:
     @property
     def rules(self) -> Mapping[RuleKey, Tuple[Outcome, ...]]:
         """Read-only outcome lists per key, each sorted by (q', sigma', move, halt')."""
-        keys = rule_keys(self.dims)
+        keys = list(rule_keys(self.dims))
         listed: Dict[RuleKey, List[Outcome]] = {key: [] for key in keys}
         slots = [axis.tolist() for axis in np.nonzero(self.support)]
         for k, q2, s2, mi, h2, amp in zip(*slots, self.amplitudes[self.support].tolist()):
@@ -328,7 +319,7 @@ def check_ozawa_compliance(table: TransitionTable) -> ComplianceReport:
     Any outcome of a halt=1 key that rewrites the scanned symbol or clears
     the halt bit is a violation, regardless of its amplitude.
     """
-    keys = rule_keys(table.dims)
+    keys = list(rule_keys(table.dims))
     violating = table.support & ~compliant_slots(table.dims)
     return ComplianceReport(
         violations=tuple(
@@ -340,10 +331,5 @@ def check_ozawa_compliance(table: TransitionTable) -> ComplianceReport:
 
 def right_shift_table(dims: MachineDims) -> TransitionTable:
     """Permutation machine: every key keeps (q, sigma, halt) and moves right."""
-    rules = {
-        (q, s, hb): [(q, s, 1, hb, 1.0 + 0j)]
-        for q in range(dims.M)
-        for s in range(dims.S)
-        for hb in (0, 1)
-    }
+    rules = {(q, s, hb): [(q, s, 1, hb, 1.0 + 0j)] for q, s, hb in rule_keys(dims)}
     return TransitionTable(dims, rules)

@@ -1,0 +1,315 @@
+"""Mutation table: one-line source mutants that the test suite must kill.
+
+Each row names a file under ``src/haltlab``, a text that occurs in it
+exactly once, and the text that replaces it.  A row lists the tests that
+kill the mutant: with it applied, at least one of them must fail.  An
+``equivalent`` row instead gives the reason no test can tell the mutant
+apart, and its tests must all still pass.
+
+Run from the repository root::
+
+    python tests/mutants.py            # every row
+    python tests/mutants.py NAME ...   # the named rows only
+
+The runner copies ``src`` and ``tests`` to a temporary directory and
+first runs every named test on the unmutated copy.  Then it applies each
+row alone and runs only that row's tests.  It exits 1 if a baseline test
+fails, if a row's text no longer occurs exactly once, if a mutant
+survives, or if an ``equivalent`` mutant is killed (then its reason is
+wrong).
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from typing import NamedTuple, Optional, Tuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to src/haltlab
+    old: str
+    new: str
+    tests: Tuple[str, ...]
+    equivalent: Optional[str] = None
+
+
+MUTANTS = (
+    # move split of the generator
+    Mutant(
+        "generator-swaps-the-left-complements", "nogo.py",
+        "(0, 0): eye - p0, (0, 1): eye - p1}",
+        "(0, 0): eye - p1, (0, 1): eye - p0}",
+        ("tests/test_nogo.py::test_generator_matches_its_recorded_tables",
+         "tests/test_nogo.py::test_generator_produces_unitary_compliant_tables"),
+    ),
+    Mutant(
+        "generator-halted-sector-flips-the-halt-bit", "nogo.py",
+        "halted[xi::s, :, xi, 0, 1] = (split[0, 1] @ head).T",
+        "halted[xi::s, :, xi, 0, 0] = (split[0, 1] @ head).T",
+        ("tests/test_nogo.py::test_generator_produces_unitary_compliant_tables",),
+    ),
+    Mutant(
+        "generator-one-gram-schmidt-pass", "nogo.py",
+        "for _pass in range(2):",
+        "for _pass in range(1):",
+        ("tests/test_nogo.py::test_generator_is_deterministic_given_seed",),
+    ),
+    # one (q, sigma, halt) key order
+    Mutant(
+        "rule-keys-halt-bit-first", "qtm.py",
+        "for s in range(dims.S) for hb in (0, 1))",
+        "for s in range(dims.S) for hb in (1, 0))",
+        ("tests/test_documents.py::test_machine_with_huge_dims_names_its_first_missing_keys",
+         "tests/test_qtm.py::test_compliance_violations_reported"),
+    ),
+    Mutant(
+        "missing-keys-name-present-ones", "documents.py",
+        "missing = (key for key in rule_keys(dims) if key not in rules)",
+        "missing = (key for key in rule_keys(dims) if key in rules)",
+        ("tests/test_documents.py::test_machine_with_huge_dims_names_its_first_missing_keys",),
+    ),
+    # M/S/N size names
+    Mutant(
+        "dims-accept-zero", "qtm.py",
+        "if not isinstance(val, int) or val < 1:",
+        "if not isinstance(val, int) or val < 0:",
+        ("tests/test_qtm.py::test_dims_validation",),
+    ),
+    Mutant(
+        "dims-argument-takes-a-repeated-name", "cli.py",
+        "if name.strip() in parts:",
+        "if False:",
+        ("tests/test_cli.py::test_input_checks[dims-repeated-name]",),
+    ),
+    # one kind -> field table for policy maps
+    Mutant(
+        "custom-maps-field-renamed", "documents.py",
+        'AncillaPolicy.CUSTOM: "maps",',
+        'AncillaPolicy.CUSTOM: "custom",',
+        ("tests/test_documents.py::test_custom_orbit_scenario_round_trips",),
+    ),
+    Mutant(
+        "policy-kind-must-be-hashable", "documents.py",
+        "if not isinstance(kind, str) or kind not in _MAP_FIELDS:",
+        "if kind not in _MAP_FIELDS:",
+        ("tests/test_documents.py::test_input_checks[policy-kind-not-string]",),
+    ),
+    # one distinct-labels relabel path
+    Mutant(
+        "relabel-keeps-pruned-positions", "ancilla.py",
+        "                del entries[labels[k]]",
+        "                pass",
+        ("tests/test_ancilla.py::test_pruned_branch_colliding_with_a_kept_one_merges_into_it",
+         "tests/test_ancilla.py::test_steps_match_the_state_built_from_scratch"),
+    ),
+    Mutant(
+        "relabel-treats-a-collision-as-distinct", "ancilla.py",
+        "if len(entries) == n:  # the labels are distinct",
+        "if len(entries) >= n - 1:  # the labels are distinct",
+        ("tests/test_ancilla.py::test_colliding_composites_rejected",),
+    ),
+    # the first mutation check: twelve mutants that the whole suite killed
+    Mutant(
+        "compliance-allows-any-written-symbol", "qtm.py",
+        "allowed[halted, :, halted // 2 % dims.S, :, 1] = True",
+        "allowed[halted, :, :, :, 1] = True",
+        ("tests/test_cli.py::test_check_flags_halted_tape_writer",),
+    ),
+    Mutant(
+        "residual-27-pairs-q-plus", "nogo.py",
+        "np.abs(overlaps(qminus, phiplus)),",
+        "np.abs(overlaps(qplus, phiplus)),",
+        ("tests/test_nogo.py::test_residual_tensors_match_the_vdot_loop_on_arbitrary_compliant_slots",),
+    ),
+    Mutant(
+        "identity-22-on-the-difference", "nogo.py",
+        "e_vecs = qplus + qminus",
+        "e_vecs = qplus - qminus",
+        ("tests/test_nogo.py::test_verify_nogo_worst_matches_the_vdot_loop",),
+    ),
+    Mutant(
+        "worst-index-kept-at-zero", "nogo.py",
+        "if peaks[name] > 0.0",
+        "if peaks[name] >= 0.0",
+        ("tests/test_cli.py::test_check_and_nogo_match_golden_bytes[right_shift-nogo]",),
+    ),
+    Mutant(
+        "winner-among-infeasible-restarts", "search.py",
+        "feasible = [c for c in candidates if c.feasible]",
+        "feasible = list(candidates)",
+        ("tests/test_search.py::test_only_feasible_restarts_win",),
+    ),
+    Mutant(
+        "no-rescue-rounds", "search.py",
+        "RESCUE_ROUNDS = 3",
+        "RESCUE_ROUNDS = 0",
+        ("tests/test_cli.py::test_search_rescues_a_restart_stuck_off_unitarity[2148]",),
+    ),
+    Mutant(
+        "penalty-pair-multiplicity", "search.py",
+        "mult_pair = dims.N * dims.S ** (dims.N - 2)",
+        "mult_pair = dims.N * dims.S ** (dims.N - 1)",
+        ("tests/test_search.py::test_local_penalty_equals_global_frobenius",),
+    ),
+    Mutant(
+        "polar-blocks-sorted-inverse", "search.py",
+        "(left @ right)[inverse.reshape(-1)]",
+        "(left @ right)[np.sort(inverse.reshape(-1))]",
+        ("tests/test_search.py::test_projection_is_identity_on_unitary_tables",),
+    ),
+    Mutant(
+        "coherence-by-halt-bit-alone", "ancilla.py",
+        "if env_i == env_j else 0j",
+        "if env_i[0] == env_j[0] else 0j",
+        ("tests/test_ancilla.py::test_shared_orbit_unequal_halts_lose_all_coherence",),
+    ),
+    Mutant(
+        "records-agree-only-when-equal", "ancilla.py",
+        "records_agree = ti == tj or (ti > t and tj > t)",
+        "records_agree = ti == tj",
+        ("tests/test_ancilla.py::test_monitoring_effect_shared_orbit_is_null",),
+    ),
+    Mutant(
+        "pruned-branch-read-as-1e-14", "ancilla.py",
+        "        return rho.entry(row, col)\n    return 0j",
+        "        return rho.entry(row, col)\n    return 1e-14 + 0j",
+        ("tests/test_cli.py::test_interfere_reads_a_pruned_branch_as_zero",),
+    ),
+    # the first mutation check's three survivors, killed by tests added since
+    Mutant(
+        "unitarity-reads-the-real-part-only", "qtm.py",
+        "dev = float(np.max(np.abs(gram.data))) if gram.nnz else 0.0",
+        "dev = float(np.max(np.abs(gram.data.real))) if gram.nnz else 0.0",
+        ("tests/test_cli.py::test_check_finds_a_phase_only_unitarity_defect",),
+    ),
+    Mutant(
+        "nogo-keeps-the-last-sample-only", "cli.py",
+        "all_passed = all_passed and report.passed",
+        "all_passed = report.passed",
+        ("tests/test_cli.py::test_nogo_random_fails_when_an_early_sample_fails",),
+    ),
+    Mutant(
+        "sum-of-squares-overflows-to-zero", "hilbert.py",
+        "        return math.inf",
+        "        return 0.0",
+        ("tests/test_hilbert.py::test_sum_of_squares_overflows_to_inf",),
+    ),
+    Mutant(
+        "verify-nogo-ignores-the-mass", "nogo.py",
+        "passed=max_residual <= tol and mass <= tol,",
+        "passed=max_residual <= tol,",
+        ("tests/test_nogo.py::test_verify_nogo_on_random_tables",
+         "tests/test_nogo.py::test_verify_nogo_right_shift_all_zero"),
+        equivalent=(
+            "under the 1e-12 unitarity precondition each residual is at most the "
+            "deviation, so the mass stays below ~48e-24 and cannot exceed a tol that "
+            "the residuals meet; the check stays as defence in depth"
+        ),
+    ),
+    # CLI input checks
+    Mutant(
+        "tol-may-be-infinite", "cli.py",
+        "if not 0.0 <= tol < math.inf:",
+        "if not 0.0 <= tol:",
+        ("tests/test_cli.py::test_input_checks[nogo-tol-inf]",),
+    ),
+    Mutant(
+        "seed-may-be-negative", "cli.py",
+        "    if seed < 0:",
+        "    if seed < -9:",
+        ("tests/test_cli.py::test_input_checks[nogo-seed]",
+         "tests/test_cli.py::test_input_checks[search-seed]"),
+    ),
+    Mutant(
+        "only-missing-files-are-usage-errors", "cli.py",
+        "except (UsageError, OSError, MachineError) as exc:",
+        "except (UsageError, FileNotFoundError, MachineError) as exc:",
+        ("tests/test_cli.py::test_a_directory_is_a_usage_error",),
+    ),
+    Mutant(
+        "decode-errors-escape", "documents.py",
+        "except UnicodeDecodeError as exc:",
+        "except LookupError as exc:",
+        ("tests/test_cli.py::test_a_document_that_is_not_utf8_is_a_parse_error",),
+    ),
+)
+
+
+def _run(root: pathlib.Path, *args) -> subprocess.CompletedProcess:
+    """Python on the copy at ``root``.  No bytecode is cached, so a file
+    restored within the same second is not read from a stale cache."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    env.pop("OPENBLAS_VERBOSE", None)  # it would log the BLAS core type to stderr
+    return subprocess.run([sys.executable, *args], cwd=root, env=env,
+                          capture_output=True, text=True, check=False)
+
+
+def _pytest(root: pathlib.Path, tests) -> int:
+    return _run(root, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests).returncode
+
+
+def _imports_from(root: pathlib.Path) -> bool:
+    where = _run(root, "-c", "import haltlab; print(haltlab.__file__)").stdout.strip()
+    return pathlib.Path(where).is_relative_to(root / "src")
+
+
+def _check(root: pathlib.Path, mutant: Mutant) -> str:
+    """Apply ``mutant`` to the copy at ``root``, run its tests, restore the file."""
+    path = root / "src" / "haltlab" / mutant.path
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        return f"text occurs {text.count(mutant.old)} times, not once"
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    try:
+        code = _pytest(root, mutant.tests)
+    finally:
+        path.write_text(text, encoding="utf-8")
+    if code not in (0, 1):
+        return f"pytest exited {code}: a test id is wrong or the mutant breaks the import"
+    if mutant.equivalent is None and code == 0:
+        return "survived"
+    if mutant.equivalent is not None and code == 1:
+        return "killed, though marked equivalent"
+    return ""
+
+
+def main(argv) -> int:
+    rows = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown rows: {sorted(unknown)}")
+        return 2
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(repo / part, root / part,
+                            ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+        start = time.perf_counter()
+        if not _imports_from(root):
+            print("the tests would not import haltlab from the copy")
+            return 1
+        baseline = sorted({test for m in rows for test in m.tests})
+        if _pytest(root, baseline) != 0:
+            print("baseline: a named test fails on the unmutated source")
+            return 1
+        for mutant in rows:
+            problem = _check(root, mutant)
+            failures += bool(problem)
+            print(f"{'FAIL' if problem else 'ok':4}  {mutant.name}"
+                  + (f": {problem}" if problem else ""), flush=True)
+        print(f"{len(rows) - failures} of {len(rows)} rows hold "
+              f"in {time.perf_counter() - start:.0f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

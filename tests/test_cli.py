@@ -154,6 +154,7 @@ def test_tables_past_the_dense_cap_are_refused_before_allocation(tmp_path):
         (["nogo", str(wide)], "error: dimension 240000 exceeds dense cap 4096\n"),
     ]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env.pop("OPENBLAS_VERBOSE", None)  # it would log the BLAS core type to stderr
     for argv, stderr in cases:
         proc = subprocess.run(
             [sys.executable, "-m", "haltlab", *argv], capture_output=True, text=True,
@@ -247,15 +248,68 @@ def test_search_zero_restarts_exits_2(capsys):
     assert "restarts" in err
 
 
+def _argument_error(command, message):
+    """Stderr of an argparse error in ``command``: its usage, then one error line."""
+    sub = haltlab.cli.build_parser()._subparsers._group_actions[0].choices[command]
+    return sub.format_usage() + f"{sub.prog}: error: {message}\n"
+
+
+def _bad_dims(option, text):
+    return f"argument {option}: expected dims like 'M=2,S=2,N=6', got {text!r}"
+
+
+RIGHT_SHIFT = str(FIXTURES / "right_shift.json")
+
+
 @pytest.mark.parametrize(
     "argv, code, err",
     [
         pytest.param(("search", "--dims", "M=2,S=2,N=6", "--iterations", "0"), 2,
                      "error: --iterations must be >= 1\n", id="search-iterations"),
+        pytest.param(("nogo", "--random", "M=1,S=1,N=6", "--seed", "-1"), 2,
+                     "error: --seed must be >= 0, got -1\n", id="nogo-seed"),
+        pytest.param(("search", "--dims", "M=1,S=2,N=6", "--seed", "-3"), 2,
+                     "error: --seed must be >= 0, got -3\n", id="search-seed"),
+        pytest.param(("nogo", "--random", "M=1,S=1,N=6,X=9"), 2,
+                     _argument_error("nogo", _bad_dims("--random", "M=1,S=1,N=6,X=9")),
+                     id="dims-unknown-name"),
+        pytest.param(("search", "--dims", "M=1,M=2,S=1,N=6"), 2,
+                     _argument_error("search", _bad_dims("--dims", "M=1,M=2,S=1,N=6")),
+                     id="dims-repeated-name"),
+        pytest.param(("check", RIGHT_SHIFT, "--tol", "nan"), 2,
+                     "error: --tol must be finite and >= 0, got nan\n", id="check-tol-nan"),
+        pytest.param(("nogo", RIGHT_SHIFT, "--tol", "inf"), 2,
+                     "error: --tol must be finite and >= 0, got inf\n", id="nogo-tol-inf"),
+        pytest.param(("nogo", "--random", "M=1,S=1,N=6", "--tol", "-0.5"), 2,
+                     "error: --tol must be finite and >= 0, got -0.5\n", id="nogo-tol-negative"),
     ],
 )
-def test_input_checks(capsys, argv, code, err):
+def test_input_checks(capsys, monkeypatch, argv, code, err):
+    # each is refused before a table is loaded, drawn or searched for
+    def refuse(*args, **kwargs):
+        raise AssertionError("input check came too late")
+
+    for name in ("load_machine", "random_compliant_table", "search_max_halting_mass"):
+        monkeypatch.setattr(haltlab.cli, name, refuse)
     assert run_cli(capsys, *argv) == (code, "", err)
+
+
+@pytest.mark.parametrize("command", ["check", "nogo", "interfere"])
+def test_a_directory_is_a_usage_error(capsys, tmp_path, command):
+    try:
+        open(tmp_path, encoding="utf-8")
+    except OSError as exc:  # IsADirectoryError on Linux, PermissionError on Windows
+        expected = f"error: {exc}\n"
+    assert run_cli(capsys, command, str(tmp_path)) == (2, "", expected)
+
+
+@pytest.mark.parametrize("command", ["check", "nogo", "interfere"])
+def test_a_document_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, command):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"format_version": 1, "note": "\xe9"}'.encode("latin-1"))
+    assert run_cli(capsys, command, str(path)) == (
+        2, "", "parse error: document: not UTF-8 text: invalid continuation byte at byte 31\n"
+    )
 
 
 def test_search_dimension_cap_exits_2(capsys):

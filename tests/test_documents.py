@@ -270,6 +270,8 @@ def _right_shift(alter):
                      id="post-halt-label-type"),
         pytest.param(loads_scenario, _permuted(lambda d: d["policy"].update(kind="LoopOrbit")),
                      "policy.kind: unknown kind 'LoopOrbit'", id="policy-kind"),
+        pytest.param(loads_scenario, _permuted(lambda d: d["policy"].update(kind=["SharedOrbit"])),
+                     "policy.kind: unknown kind ['SharedOrbit']", id="policy-kind-not-string"),
     ],
 )
 def test_input_checks(load, text, fragment):

@@ -1,10 +1,13 @@
 """No-go machinery: Q/Phi extraction, residual tensors, verifier, generator."""
 
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+from haltlab.documents import load_machine
 from haltlab.hilbert import SparseState
 from haltlab.nogo import (
     RESIDUALS,
@@ -32,6 +35,7 @@ from haltlab.qtm import (
 )
 from oracles import gram, halting_mass_from_matrix, nogo_residuals_by_loop
 
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 INV_SQRT2 = 2**-0.5
 
 
@@ -329,6 +333,20 @@ def test_generator_is_deterministic_given_seed():
     t1 = random_compliant_table(dims, np.random.default_rng(42))
     t2 = random_compliant_table(dims, np.random.default_rng(42))
     assert t1.rules == t2.rules
+
+
+@pytest.mark.parametrize(
+    "fixture", sorted((FIXTURES / "generated").glob("random_M*_S*_seed*.json")),
+    ids=lambda path: path.stem,
+)
+def test_generator_matches_its_recorded_tables(fixture):
+    # each file is dumps_machine(random_compliant_table(dims, default_rng([seed, 99])));
+    # compared entrywise, since QR and matmul bits vary with the BLAS kernel
+    m, s, seed = map(int, re.fullmatch(r"random_M(\d+)_S(\d+)_seed(\d+)", fixture.stem).groups())
+    recorded = load_machine(fixture)
+    assert recorded.dims == MachineDims(m, s, 6)
+    table = random_compliant_table(recorded.dims, np.random.default_rng([seed, 99]))
+    assert np.max(np.abs(table.amplitudes - recorded.amplitudes)) <= 1e-12
 
 
 def test_witness_table_is_unitary_with_full_halting_mass():
