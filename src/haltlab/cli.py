@@ -16,8 +16,11 @@ stderr names the cause instead.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -70,8 +73,22 @@ def _pair_argument(text: str):
     return i, j
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that takes '-' and a digit as the start of a value.
+
+    argparse's own pattern for negative numbers covers only forms like
+    '-1' and '-0.5', so it read ``--tol -1e-3`` as an option and failed
+    with "expected one argument" before the range check could run.
+    Subparsers are built with their parent's class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="haltlab",
         description="Checks and simulations for halting schemes of quantum Turing machines.",
     )
@@ -109,6 +126,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_inter.set_defaults(func=cmd_interfere)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` uses, built on its first call and then reused:
+    parsing leaves a parser unchanged."""
+    return build_parser()
 
 
 def _emit(doc: dict) -> None:
@@ -214,33 +238,37 @@ def cmd_search(args) -> int:
     if args.iterations < 1:
         raise UsageError("--iterations must be >= 1")
     _require_seed(args.seed)
-    result = search_max_halting_mass(
-        args.dims,
-        restarts=args.restarts,
-        iterations=args.iterations,
-        seed=args.seed,
-        ozawa_compliant=not args.no_ozawa,
-    )
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "dims": asdict(args.dims),
-        "restarts": args.restarts,
-        "iterations": args.iterations,
-        "seed": args.seed,
-        "ozawa_compliance": not args.no_ozawa,
-    }
-    doc.update(result.as_dict())
-    if args.no_ozawa:
-        doc["warning"] = (
-            "halted-sector compliance disabled: halting mass is attainable "
-            "by unitary machines"
+    # the cap is checked and --out opened before the search: a path that
+    # cannot be written then costs no search time and leaves stdout empty
+    args.dims.require_dense()
+    trace_file = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
+    with trace_file or contextlib.nullcontext() as out:
+        result = search_max_halting_mass(
+            args.dims,
+            restarts=args.restarts,
+            iterations=args.iterations,
+            seed=args.seed,
+            ozawa_compliant=not args.no_ozawa,
         )
-    _emit(doc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write("iteration,objective\n")
+        doc = {
+            "format_version": FORMAT_VERSION,
+            "dims": asdict(args.dims),
+            "restarts": args.restarts,
+            "iterations": args.iterations,
+            "seed": args.seed,
+            "ozawa_compliance": not args.no_ozawa,
+        }
+        doc.update(result.as_dict())
+        if args.no_ozawa:
+            doc["warning"] = (
+                "halted-sector compliance disabled: halting mass is attainable "
+                "by unitary machines"
+            )
+        _emit(doc)
+        if out:
+            out.write("iteration,objective\n")
             for iteration, objective in result.trace:
-                handle.write(f"{iteration},{_fmt(objective)}\n")
+                out.write(f"{iteration},{_fmt(objective)}\n")
     if not result.feasible:
         print(
             f"error: no restart reached unitarity deviation <= {FEASIBLE_DEVIATION:g}; "
@@ -284,9 +312,8 @@ class NonFiniteReport(Exception):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -23,6 +23,7 @@ finite and makes unitarity of U exactly decidable.  Head moves are +1 or
 
 from __future__ import annotations
 
+import functools
 import math
 import types
 from dataclasses import asdict, dataclass
@@ -229,14 +230,14 @@ class TransitionTable:
         return f"TransitionTable(dims={self.dims}, keys={self.support.shape[0]}, outcomes={n_out})"
 
 
-def operator_indices(dims: MachineDims) -> Tuple[np.ndarray, np.ndarray]:
-    """Rule key of every configuration, and where each table slot sends it.
+@functools.lru_cache(maxsize=1)
+def _operator_pattern(dims: MachineDims) -> Tuple[np.ndarray, ...]:
+    """``keys`` and ``rows`` of :func:`operator_indices`, then the CSC layout of U.
 
-    Returns ``keys`` of shape (D,), the key index of column c, and ``rows``
-    of shape (D, M, S, 2, 2), the configuration index that outcome slot
-    (q', sigma', move, halt') maps column c to.  The first column of each
-    key has the head at cell 0, the scanned symbol in cell 0 and every other
-    cell blank.  For N <= 2 both moves of an outcome reach the same row.
+    ``csc_rows`` (D, 4*M*S) holds each column's target rows in ascending
+    order and ``gather`` the flat table-tensor slot of each of them.  All
+    four are int32: under the cap every index is below 8*(M*S)**2 <= 2**25.
+    One dims is held at a time, and every array is read-only.
     """
     size = dims.require_dense()
     tapes = dims.S**dims.N
@@ -250,7 +251,30 @@ def operator_indices(dims: MachineDims) -> Tuple[np.ndarray, np.ndarray]:
     move = np.array(MOVES).reshape(-1, 1)
     h2 = np.arange(2)
     rows = ((q2 * dims.N + (h + move) % dims.N) * tapes + code + (s2 - sym) * place) * 2 + h2
-    keys = ((q * dims.S + sym) * 2 + halt).reshape(-1)
+    rows = rows.astype(np.int32)
+    keys = ((q * dims.S + sym) * 2 + halt).reshape(-1).astype(np.int32)
+    slots = rows.reshape(size, -1)
+    order = np.argsort(slots, axis=1, kind="stable").astype(np.int32)
+    csc_rows = np.take_along_axis(slots, order, axis=1)
+    gather = keys.reshape(-1, 1) * slots.shape[1] + order
+    for array in (keys, rows, csc_rows, gather):
+        array.flags.writeable = False
+    return keys, rows, csc_rows, gather
+
+
+def operator_indices(dims: MachineDims) -> Tuple[np.ndarray, np.ndarray]:
+    """Rule key of every configuration, and where each table slot sends it.
+
+    Returns ``keys`` of shape (D,), the key index of column c, and ``rows``
+    of shape (D, M, S, 2, 2), the configuration index that outcome slot
+    (q', sigma', move, halt') maps column c to.  The first column of each
+    key has the head at cell 0, the scanned symbol in cell 0 and every other
+    cell blank.  For N <= 2 both moves of an outcome reach the same row.
+
+    Both arrays are int32 and depend on the dims alone.  They are cached
+    for the last dims asked for (one dims at a time) and are read-only.
+    """
+    keys, rows, _, _ = _operator_pattern(dims)
     return keys, rows
 
 
@@ -258,15 +282,21 @@ def sparse_global_matrix(table: TransitionTable) -> sp.csc_matrix:
     """U in CSC form, configurations in lexicographic (q, h, tape, halt) order.
 
     Every listed outcome of a column's key contributes one entry; entries
-    that land on the same row add.
+    that land on the same row add.  The CSC arrays are gathered straight
+    from the table through the cached pattern, each column's rows already
+    in ascending order; only for N <= 2, where both moves of an outcome
+    reach one row, is there a pair of entries to add.
     """
-    keys, rows = operator_indices(table.dims)
-    listed = table.support[keys]
-    cols = np.broadcast_to(np.arange(len(keys)).reshape(-1, 1, 1, 1, 1), rows.shape)
-    size = len(keys)
-    return sp.csc_matrix(
-        (table.amplitudes[keys][listed], (rows[listed], cols[listed])), shape=(size, size)
-    )
+    _, _, csc_rows, gather = _operator_pattern(table.dims)
+    size = len(gather)
+    listed = table.support.take(gather)  # take indexes the flattened tensor
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(listed, axis=1), out=indptr[1:])
+    entries = np.flatnonzero(listed)
+    data = table.amplitudes.take(gather.take(entries))
+    u = sp.csc_matrix((data, csc_rows.take(entries), indptr), shape=(size, size))
+    u.sum_duplicates()  # sorted and distinct for N >= 3: only checked
+    return u
 
 
 def build_global_matrix(table: TransitionTable) -> np.ndarray:
@@ -304,12 +334,20 @@ class ComplianceReport:
 
 
 def check_global_unitarity(table: TransitionTable, tol: float = 1e-12) -> UnitarityReport:
-    """Max-abs entry of U^dag U - I over the full truncated configuration space."""
+    """Max-abs entry of U^dag U - I over the full truncated configuration space.
+
+    Read straight off G = U^dag U, without forming G - I: the max of
+    |g_ij - delta_ij| over G's stored entries, and 1 if a diagonal entry
+    is not stored (a zero column of U).  These are the floats that the
+    max-abs entry of G - I is taken over.
+    """
     u = sparse_global_matrix(table)
-    size = u.shape[0]
-    gram = (u.getH() @ u) - sp.identity(size, dtype=complex, format="csc")
-    gram.eliminate_zeros()
-    dev = float(np.max(np.abs(gram.data))) if gram.nnz else 0.0
+    gram = u.getH() @ u
+    size = gram.shape[0]
+    on_diagonal = gram.indices == np.repeat(np.arange(size), np.diff(gram.indptr))
+    dev = float(np.max(np.abs(gram.data - on_diagonal), initial=0.0))
+    if np.count_nonzero(on_diagonal) < size:
+        dev = max(dev, 1.0)  # a zero column: its diagonal entry of G - I is -1
     return UnitarityReport(max_deviation=dev, tol=tol, passed=dev <= tol, dim=size)
 
 

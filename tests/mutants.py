@@ -185,8 +185,8 @@ MUTANTS = (
     # the first mutation check's three survivors, killed by tests added since
     Mutant(
         "unitarity-reads-the-real-part-only", "qtm.py",
-        "dev = float(np.max(np.abs(gram.data))) if gram.nnz else 0.0",
-        "dev = float(np.max(np.abs(gram.data.real))) if gram.nnz else 0.0",
+        "dev = float(np.max(np.abs(gram.data - on_diagonal), initial=0.0))",
+        "dev = float(np.max(np.abs((gram.data - on_diagonal).real), initial=0.0))",
         ("tests/test_cli.py::test_check_finds_a_phase_only_unitarity_defect",),
     ),
     Mutant(
@@ -212,6 +212,32 @@ MUTANTS = (
             "deviation, so the mass stays below ~48e-24 and cannot exceed a tol that "
             "the residuals meet; the check stays as defence in depth"
         ),
+    ),
+    # the deviation read off U^dag U, and the parser kept between calls
+    Mutant(
+        "unitarity-ignores-a-missing-diagonal", "qtm.py",
+        "dev = max(dev, 1.0)",
+        "dev = dev",
+        ("tests/test_qtm.py::test_empty_outcome_list_flagged_as_nonunitary",),
+    ),
+    Mutant(
+        "unitarity-reads-g-ii-for-g-ii-minus-1", "qtm.py",
+        "np.abs(gram.data - on_diagonal)",
+        "np.abs(gram.data)",
+        ("tests/test_cli.py::test_check_and_nogo_match_golden_bytes[right_shift-check]",),
+    ),
+    Mutant(
+        "main-builds-a-parser-per-call", "cli.py",
+        "args = _parser().parse_args(argv)",
+        "args = build_parser().parse_args(argv)",
+        ("tests/test_cli.py::test_main_builds_one_parser_and_keeps_it_after_a_parse_error",),
+    ),
+    Mutant(
+        "tol-in-exponent-form-read-as-an-option", "cli.py",
+        'self._negative_number_matcher = re.compile(r"^-\\.?\\d")',
+        'self._negative_number_matcher = re.compile(r"^-\\d+$|^-\\d*\\.\\d+$")',
+        ("tests/test_cli.py::"
+         "test_a_negative_tol_in_any_float_form_reaches_the_range_check[nogo--1e-3]",),
     ),
     # CLI input checks
     Mutant(

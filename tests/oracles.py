@@ -2,9 +2,10 @@
 
 Each function recomputes a quantity the package computes another way,
 by the most direct route available: the one-step operator configuration
-by configuration, inner products and the Gram matrix pair by pair, the
-no-go residuals vector pair by vector pair, the halting mass from the
-global matrix, the unitarity penalty from the global product U^dag U,
+by configuration, and again from (value, row, column) triples, inner
+products and the Gram matrix pair by pair, the no-go residuals vector
+pair by vector pair, the halting mass from the global matrix, the
+unitarity deviation and penalty from U^dag U - I formed as a matrix,
 the polar factor one block at a time into a dense matrix (and the
 search's projection read off it), every state of a branch
 superposition built and normed from scratch, and the reduced density
@@ -195,10 +196,40 @@ def halting_mass_from_matrix(matrix, dims: MachineDims) -> float:
     return float(np.sum(np.abs(block) ** 2)) / multiplicity
 
 
+def sparse_global_matrix_by_coo(table: TransitionTable) -> sp.csc_matrix:
+    """U assembled as (value, row, column) triples and converted to CSC.
+
+    Every listed slot of every column gives one triple, and the conversion
+    sums the triples that share a row (both moves of an outcome, for
+    N <= 2).  The reference for :func:`haltlab.qtm.sparse_global_matrix`,
+    which gathers the CSC arrays from a pre-sorted pattern instead.
+    """
+    keys, rows = operator_indices(table.dims)
+    listed = table.support[keys]
+    cols = np.broadcast_to(np.arange(len(keys)).reshape(-1, 1, 1, 1, 1), rows.shape)
+    size = len(keys)
+    return sp.csc_matrix(
+        (table.amplitudes[keys][listed], (rows[listed], cols[listed])), shape=(size, size)
+    )
+
+
+def _gram_minus_identity(u: sp.spmatrix) -> sp.spmatrix:
+    return (u.getH() @ u) - sp.identity(u.shape[0], dtype=complex, format="csc")
+
+
+def unitarity_deviation_by_identity(u: sp.spmatrix) -> float:
+    """Max-abs entry of U^dag U - I, with the identity subtracted as a
+    sparse matrix: the reference for
+    :func:`haltlab.qtm.check_global_unitarity`, which reads the deviation
+    off U^dag U."""
+    gram = _gram_minus_identity(u)
+    gram.eliminate_zeros()
+    return float(np.max(np.abs(gram.data))) if gram.nnz else 0.0
+
+
 def global_frobenius_penalty(table: TransitionTable) -> float:
     """||U^dag U - I||_F^2 computed from the sparse global matrix."""
-    u = sparse_global_matrix(table)
-    gram = (u.getH() @ u) - sp.identity(u.shape[0], dtype=complex, format="csc")
+    gram = _gram_minus_identity(sparse_global_matrix(table))
     return float(np.sum(np.abs(gram.data) ** 2))
 
 

@@ -294,6 +294,63 @@ def test_input_checks(capsys, monkeypatch, argv, code, err):
     assert run_cli(capsys, *argv) == (code, "", err)
 
 
+@pytest.mark.parametrize(
+    "tol_args",
+    [("--tol", "-1e-3"), ("--tol", "-1E-3"), ("--tol", "-0.5"), ("--tol=-1e-3",)],
+    ids=["-1e-3", "-1E-3", "-0.5", "=-1e-3"],
+)
+@pytest.mark.parametrize(
+    "command", [("check", RIGHT_SHIFT), ("nogo", "--random", "M=1,S=1,N=6")], ids=["check", "nogo"]
+)
+def test_a_negative_tol_in_any_float_form_reaches_the_range_check(capsys, command, tol_args):
+    # argparse alone reads "-1e-3" as an option; twice, so that the
+    # parser main keeps between calls is exercised too
+    value = float(tol_args[-1].split("=")[-1])
+    expected = (2, "", f"error: --tol must be finite and >= 0, got {value!r}\n")
+    for _ in range(2):
+        assert run_cli(capsys, *command, *tol_args) == expected
+
+
+def test_search_out_to_an_unwritable_path_exits_2_before_the_search(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search ran before --out was opened")
+
+    monkeypatch.setattr(haltlab.cli, "search_max_halting_mass", refuse)
+    path = tmp_path / "missing" / "t.csv"
+    try:
+        open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        expected = f"error: {exc}\n"
+    assert run_cli(
+        capsys, "search", "--dims", "M=1,S=1,N=6", "--restarts", "1", "--iterations", "1",
+        "--out", str(path),
+    ) == (2, "", expected)
+
+
+def test_main_builds_one_parser_and_keeps_it_after_a_parse_error(capsys, monkeypatch):
+    # a parse error, then check and nogo of one fixture, in one process:
+    # each result is the recorded one, and the parser is built once
+    parse_error = _argument_error("check", "argument --tol: expected one argument")
+    build, builds = haltlab.cli.build_parser, []
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(haltlab.cli, "build_parser", counted)
+    haltlab.cli._parser.cache_clear()
+    monkeypatch.chdir(FIXTURES)
+    assert run_cli(capsys, "check", "--tol") == (2, "", parse_error)
+    for command in ("check", "nogo"):
+        golden = FIXTURES / "golden" / f"{command}_leaky_nonunitary"
+        assert run_cli(capsys, command, "leaky_nonunitary.json") == (
+            int(golden.with_suffix(".exit").read_text()),
+            golden.with_suffix(".stdout").read_text(encoding="utf-8"),
+            golden.with_suffix(".stderr").read_text(encoding="utf-8"),
+        )
+    assert len(builds) == 1
+
+
 @pytest.mark.parametrize("command", ["check", "nogo", "interfere"])
 def test_a_directory_is_a_usage_error(capsys, tmp_path, command):
     try:

@@ -6,7 +6,10 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import haltlab.qtm
 from haltlab.documents import load_machine
 from haltlab.hilbert import SparseState
 from haltlab.nogo import random_compliant_table
@@ -18,6 +21,7 @@ from haltlab.qtm import (
     build_global_matrix,
     check_global_unitarity,
     check_ozawa_compliance,
+    operator_indices,
     right_shift_table,
     sparse_global_matrix,
 )
@@ -28,7 +32,9 @@ from oracles import (
     minus,
     plus,
     scaled,
+    sparse_global_matrix_by_coo,
     step,
+    unitarity_deviation_by_identity,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -338,3 +344,87 @@ def test_added_halting_outcome_breaks_unitarity():
     report = check_global_unitarity(spoiled)
     assert not report.passed
     assert report.max_deviation > 1e-2
+
+
+#: (M, S, N) for the fast-path property: N <= 2 puts both moves of an
+#: outcome on one row, N >= 3 admits compliant tables
+PATTERN_DIMS = [
+    (1, 1, 1), (2, 2, 1), (1, 3, 2), (2, 2, 2),
+    (1, 2, 3), (2, 1, 4), (2, 2, 4), (1, 3, 4), (2, 2, 6),
+]
+TABLE_KINDS = ["arbitrary", "near_unitary", "compliant", "phase_defect", "emptied_key"]
+
+
+def _pattern_case_table(dims, kind, seed):
+    """A table of the given kind, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    shape = dims.table_shape
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "arbitrary":
+        # about half the slots listed, both moves of an outcome often among them
+        return TransitionTable.from_tensor(dims, np.where(rng.random(shape) < 0.5, noise, 0))
+    if kind == "phase_defect":
+        # the right shift plus one purely imaginary amplitude on an empty
+        # slot: every overlap it makes with another column is imaginary
+        base = right_shift_table(dims).amplitudes.copy()
+        empty = np.argwhere(base == 0)
+        base[tuple(empty[rng.integers(len(empty))])] = 1e-3j
+        return TransitionTable.from_tensor(dims, base)
+    if dims.N >= 3:
+        base = random_compliant_table(dims, rng).amplitudes.copy()
+    else:
+        base = right_shift_table(dims).amplitudes.copy()
+    if kind == "near_unitary":
+        base += rng.choice([1e-12, 1e-9, 1e-3]) * noise
+    elif kind == "emptied_key":
+        base[rng.integers(shape[0])] = 0
+    return TransitionTable.from_tensor(dims, base)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(PATTERN_DIMS),
+    st.sampled_from(TABLE_KINDS),
+    st.integers(0, 2**32 - 1),
+)
+def test_operator_and_deviation_match_their_oracles_bit_for_bit(mns, kind, seed):
+    # consecutive examples switch dims, so the one-entry pattern cache is
+    # refilled as well as hit
+    dims = MachineDims(*mns)
+    table = _pattern_case_table(dims, kind, seed)
+    fast = sparse_global_matrix(table)
+    slow = sparse_global_matrix_by_coo(table)
+    assert fast.shape == slow.shape
+    assert np.array_equal(fast.indptr, slow.indptr)
+    assert np.array_equal(fast.indices, slow.indices)
+    assert fast.data.tobytes() == slow.data.tobytes()
+    deviation = check_global_unitarity(table).max_deviation
+    assert deviation.hex() == unitarity_deviation_by_identity(slow).hex()
+
+
+def test_deviation_cases_are_the_ones_named():
+    # the property above reaches each case it names
+    dims = MachineDims(2, 2, 2)
+    both_moves = _both_moves_table(dims)
+    listed = np.count_nonzero(both_moves.support[operator_indices(dims)[0]])
+    assert sparse_global_matrix(both_moves).nnz < listed  # both moves reach one row and add
+    assert check_global_unitarity(_pattern_case_table(dims, "emptied_key", 0)).max_deviation == 1.0
+    assert check_global_unitarity(
+        _pattern_case_table(MachineDims(2, 2, 4), "phase_defect", 0)
+    ).max_deviation == pytest.approx(1e-3, rel=1e-12)
+    assert check_global_unitarity(_pattern_case_table(MachineDims(2, 2, 4), "compliant", 0)).passed
+
+
+def test_operator_pattern_is_cached_read_only_for_one_dims():
+    dims = MachineDims(1, 2, 3)
+    keys, rows = operator_indices(dims)
+    again = operator_indices(MachineDims(1, 2, 3))
+    assert again[0] is keys and again[1] is rows
+    for array in haltlab.qtm._operator_pattern(dims):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array.reshape(-1)[0] = 1
+    operator_indices(MachineDims(1, 2, 4))
+    assert haltlab.qtm._operator_pattern.cache_info().currsize == 1
+    assert operator_indices(dims)[0] is not keys  # evicted, then rebuilt equal
+    assert np.array_equal(operator_indices(dims)[1], rows)
