@@ -9,6 +9,11 @@ records the time since halting.  Policies decide which index sequence
 each branch walks after halting: the shared identity sequence, a
 per-branch permutation of it, or an arbitrary injective map.
 
+A run builds each branch's composite labels (label, halt bit, ancilla
+index) for all its steps once, as one column; that is the only place
+the policy's map is applied.  The trace keeps the columns, and
+coherence and monitoring read labels and environments from them.
+
 Branches that halt at different times entangle the computational register
 with different halt-bit/ancilla states, so their mutual coherence in the
 reduced computational density matrix dies; with permuted sequences it can
@@ -19,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -95,16 +100,6 @@ class BranchSpec:
             self, "_running", tuple((self.orbit[t], 0, 0) for t in range(self.halt_step))
         )
 
-    def label_at(self, t: int) -> Hashable:
-        if t >= self.halt_step:
-            return self.post_halt_label
-        if t >= len(self.orbit):
-            raise BranchModelError(f"branch {self.id}: orbit shorter than step {t}")
-        return self.orbit[t]
-
-    def halt_bit(self, t: int) -> int:
-        return 1 if t >= self.halt_step else 0
-
 
 def _check_injective(mapping: Mapping[int, int], what: str) -> None:
     values = list(mapping.values())
@@ -123,7 +118,8 @@ class AncillaPolicy:
     extended by the identity for the permuted policy, and an explicit
     injective map for the custom policy.  Injectivity is what keeps
     post-halt ancilla states mutually orthogonal, and it is enforced at
-    construction.
+    construction.  The policy only holds the maps: ``run_superposition``
+    applies ``rho`` when it builds each branch's label column.
     """
 
     SHARED = "SharedOrbit"
@@ -161,24 +157,6 @@ class AncillaPolicy:
     def custom(cls, maps: Mapping[int, Mapping[int, int]]) -> "AncillaPolicy":
         return cls(cls.CUSTOM, maps)
 
-    def ancilla_index(self, branch_id: int, t: int, halt_step: int) -> int:
-        if t < halt_step:
-            return 0
-        k = t - halt_step
-        if self.kind == self.SHARED:
-            return k
-        mapping = self.maps.get(branch_id)
-        if mapping is None:
-            return k
-        if self.kind == self.PERMUTED:
-            return mapping.get(k, k)
-        try:
-            return mapping[k]
-        except KeyError:
-            raise PolicyError(
-                f"custom map for branch {branch_id} does not cover offset {k}"
-            ) from None
-
     def __repr__(self) -> str:
         return f"AncillaPolicy({self.kind}, branches={sorted(self.maps)})"
 
@@ -188,33 +166,41 @@ class RunTrace:
     """States of a branch superposition at steps 0 .. t_max.
 
     Composite basis labels are (computational label, halt bit, ancilla
-    index); the trace keeps one SparseState per step, all of norm 1.
+    index).  The trace keeps each branch's composite labels at steps
+    0 .. t_max as one column (a list, read and never changed), and one
+    SparseState per step, all of norm 1.  Every reader takes labels, halt
+    bits and ancilla indices from the columns, and refuses a step outside
+    0 .. t_max.
     """
 
     branches: Tuple[BranchSpec, ...]
     amps: Tuple[complex, ...]
-    policy: AncillaPolicy
     t_max: int
+    columns: Tuple[List[tuple], ...] = field(repr=False)
     states: Tuple[SparseState, ...] = field(repr=False)
 
-    def state(self, t: int) -> SparseState:
+    def _step(self, t: int) -> int:
         if not (0 <= t <= self.t_max):
             raise BranchModelError(f"step {t} outside 0..{self.t_max}")
-        return self.states[t]
+        return t
+
+    def state(self, t: int) -> SparseState:
+        return self.states[self._step(t)]
 
     def branch_label(self, i: int, t: int) -> Hashable:
-        return self.branches[i].label_at(t)
+        return self.columns[i][self._step(t)][0]
 
     def branch_environment(self, i: int, t: int) -> Tuple[int, int]:
         """(halt bit, ancilla index) of branch i at step t."""
-        b = self.branches[i]
-        return b.halt_bit(t), self.policy.ancilla_index(b.id, t, b.halt_step)
+        _, halt, index = self.columns[i][self._step(t)]
+        return halt, index
 
 
 def _label_column(branch: BranchSpec, policy: AncillaPolicy, t_max: int) -> list:
     """Composite labels (label, halt bit, ancilla index) of one branch at
-    steps 0 .. t_max.  A custom map that leaves an offset uncovered ends
-    the column at the step that reaches it."""
+    steps 0 .. t_max: the one place that applies the policy's ``rho``.  A
+    custom map that leaves an offset uncovered ends the column at the
+    step that reaches it."""
     column = list(branch._running[: t_max + 1])
     halted = range(t_max + 1 - branch.halt_step)
     if not halted:
@@ -301,12 +287,14 @@ def run_superposition(
     if t <= t_max:  # a column ended early: its custom map misses step t
         for b, column in zip(branches, columns):
             if len(column) == t:
-                policy.ancilla_index(b.id, t, b.halt_step)  # raises PolicyError
+                raise PolicyError(
+                    f"custom map for branch {b.id} does not cover offset {t - b.halt_step}"
+                )
     return RunTrace(
         branches=tuple(branches),
         amps=amps,
-        policy=policy,
         t_max=t_max,
+        columns=tuple(columns),
         states=tuple(states),
     )
 
@@ -337,17 +325,14 @@ def coherence(trace: RunTrace, t: int, i: int, j: int) -> complex:
         raise BranchModelError(f"branch index out of range: ({i}, {j})")
     if i == j:
         raise BranchModelError("coherence needs two distinct branches")
-    if not (0 <= t <= trace.t_max):
-        raise BranchModelError(f"step {t} outside 0..{trace.t_max}")
-
-    env_i = trace.branch_environment(i, t)
-    env_j = trace.branch_environment(j, t)
+    trace._step(t)
+    step = [column[t] for column in trace.columns]
+    (c_i, *env_i), (c_j, *env_j) = step[i], step[j]
     value = trace.amps[i] * trace.amps[j].conjugate() if env_i == env_j else 0j
 
-    labels = [trace.branch_label(k, t) for k in range(n)]
-    if len(set(labels)) == n:
+    if len({label for label, _, _ in step}) == n:
         rho = reduced_density(trace.state(t), _split_computational)
-        entry = _density_entry(rho, labels[i], labels[j])
+        entry = _density_entry(rho, c_i, c_j)
         if abs(entry - value) > AGREEMENT_TOL:
             raise BranchModelError(
                 f"coherence formula and reduced density disagree at step {t}: "
@@ -380,13 +365,12 @@ def monitored_run(
     dist: Dict[tuple, float] = {}
     for record in sorted(groups, key=lambda r: (r is None, r)):
         # branches in one record group may still interfere; sum amplitudes
-        # per (label, environment) before squaring
+        # per composite label before squaring
         cells: Dict[tuple, complex] = {}
         for idx in groups[record]:
-            label = trace.branch_label(idx, t_max)
-            env = trace.branch_environment(idx, t_max)
-            cells[(label, env)] = cells.get((label, env), 0j) + trace.amps[idx]
-        for (label, _env), amp in sorted(cells.items()):
+            composite = trace.columns[idx][t_max]
+            cells[composite] = cells.get(composite, 0j) + trace.amps[idx]
+        for (label, _halt, _index), amp in sorted(cells.items()):
             prob = abs(amp) ** 2
             if prob > 0.0:
                 dist[(record, label)] = dist.get((record, label), 0.0) + prob

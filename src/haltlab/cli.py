@@ -285,21 +285,21 @@ def cmd_interfere(args) -> int:
     n = len(scenario.branches)
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise UsageError(f"pair ({i}, {j}) invalid for {n} branches")
-
-    trace = run_superposition(scenario.branches, scenario.amps, scenario.policy, scenario.t_max)
-    lines = ["t,abs_coherence,monitored_delta"]
-    for t in range(scenario.t_max + 1):
-        coh = coherence(trace, t, i, j)
-        effect = monitoring_effect(
-            scenario.branches, scenario.amps, scenario.policy, (i, j), t
+    # --out is opened before the run, as in cmd_search: a path that cannot
+    # be written then costs no run time
+    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else None
+    with out or contextlib.nullcontext():
+        trace = run_superposition(
+            scenario.branches, scenario.amps, scenario.policy, scenario.t_max
         )
-        lines.append(f"{t},{_fmt(abs(coh))},{_fmt(effect.delta)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        lines = ["t,abs_coherence,monitored_delta"]
+        for t in range(scenario.t_max + 1):
+            coh = coherence(trace, t, i, j)
+            effect = monitoring_effect(
+                scenario.branches, scenario.amps, scenario.policy, (i, j), t
+            )
+            lines.append(f"{t},{_fmt(abs(coh))},{_fmt(effect.delta)}")
+        (out or sys.stdout).write("\n".join(lines) + "\n")
     return 0
 
 

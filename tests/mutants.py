@@ -239,6 +239,77 @@ MUTANTS = (
         ("tests/test_cli.py::"
          "test_a_negative_tol_in_any_float_form_reaches_the_range_check[nogo--1e-3]",),
     ),
+    # the residual gate, which the unitarity precondition implies at the
+    # default tol but which a smaller tol reaches
+    Mutant(
+        "verify-nogo-ignores-the-residuals", "nogo.py",
+        "passed=max_residual <= tol and mass <= tol,",
+        "passed=mass <= tol,",
+        ("tests/test_nogo.py::test_verify_nogo_fails_on_residuals_above_its_tol",),
+    ),
+    # branch model input checks, each deleted
+    Mutant(
+        "halt-step-may-be-negative", "ancilla.py",
+        "if self.halt_step < 0:",
+        "if False:",
+        ("tests/test_ancilla.py::test_input_checks[halt-step]",),
+    ),
+    Mutant(
+        "policy-kind-unchecked", "ancilla.py",
+        "if kind not in (self.SHARED, self.PERMUTED, self.CUSTOM):",
+        "if False:",
+        ("tests/test_ancilla.py::test_input_checks[policy-kind]",),
+    ),
+    Mutant(
+        "trace-step-unchecked", "ancilla.py",
+        "if not (0 <= t <= self.t_max):",
+        "if False:",
+        ("tests/test_ancilla.py::test_input_checks[trace-step]",),
+    ),
+    Mutant(
+        "t-max-may-be-negative", "ancilla.py",
+        "if t_max < 0:",
+        "if False:",
+        ("tests/test_ancilla.py::test_input_checks[t-max]",),
+    ),
+    Mutant(
+        "amplitude-count-unchecked", "ancilla.py",
+        "if len(branches) != len(amps) or not branches:",
+        "if False:",
+        ("tests/test_ancilla.py::test_input_checks[amp-count]",),
+    ),
+    Mutant(
+        "branch-ids-may-repeat", "ancilla.py",
+        "if len(ids) != len(branches):",
+        "if False:",
+        ("tests/test_ancilla.py::test_input_checks[duplicate-id]",),
+    ),
+    Mutant(
+        "map-without-branch-ignored", "ancilla.py",
+        "    if unknown:",
+        "    if False:",
+        ("tests/test_ancilla.py::test_input_checks[map-without-branch]",
+         "tests/test_ancilla.py::test_input_checks[permutation-without-branch]"),
+    ),
+    Mutant(
+        "monitoring-pair-unchecked", "ancilla.py",
+        "if not (0 <= i < n and 0 <= j < n) or i == j:",
+        "if False:",
+        ("tests/test_ancilla.py::test_input_checks[monitoring-pair]",),
+    ),
+    # labels, halt bits and ancilla indices read from the trace's columns
+    Mutant(
+        "policy-gap-names-the-step", "ancilla.py",
+        "does not cover offset {t - b.halt_step}",
+        "does not cover offset {t}",
+        ("tests/test_ancilla.py::test_earliest_step_policy_gap_is_reported_first",),
+    ),
+    Mutant(
+        "label-reader-skips-the-range-check", "ancilla.py",
+        "return self.columns[i][self._step(t)][0]",
+        "return self.columns[i][t][0]",
+        ("tests/test_ancilla.py::test_input_checks[label-step-before-0]",),
+    ),
     # CLI input checks
     Mutant(
         "tol-may-be-infinite", "cli.py",

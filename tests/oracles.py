@@ -8,7 +8,8 @@ pair by vector pair, the halting mass from the global matrix, the
 unitarity deviation and penalty from U^dag U - I formed as a matrix,
 the polar factor one block at a time into a dense matrix (and the
 search's projection read off it), every state of a branch
-superposition built and normed from scratch, and the reduced density
+superposition built and normed from scratch from composite labels
+whose ancilla index is worked out step by step, and the reduced density
 matrix added entry by entry into an array.
 None of them is used by the package itself.
 """
@@ -19,7 +20,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from haltlab.ancilla import NORM_TOL, AncillaPolicy, BranchModelError, BranchSpec
+from haltlab.ancilla import (
+    NORM_TOL,
+    AncillaPolicy,
+    BranchModelError,
+    BranchSpec,
+    PolicyError,
+)
 from haltlab.hilbert import HilbertError, SparseState
 from haltlab.nogo import RESIDUALS
 from haltlab.qtm import (
@@ -286,11 +293,24 @@ def projection_by_dense_polar(table: TransitionTable, ozawa_compliant: bool):
 
 
 def _composite(branch: BranchSpec, policy: AncillaPolicy, t: int):
-    return (
-        branch.label_at(t),
-        branch.halt_bit(t),
-        policy.ancilla_index(branch.id, t, branch.halt_step),
-    )
+    """(label, halt bit, ancilla index) of ``branch`` at step ``t``, one
+    step at a time: the orbit entry and index 0 before the halt step, then
+    the post-halt label and ``rho(t - halt_step)``, with ``rho`` read from
+    the policy's kind and maps.  The reference for the label columns of
+    :func:`haltlab.ancilla.run_superposition`."""
+    if t < branch.halt_step:
+        return branch.orbit[t], 0, 0
+    k = t - branch.halt_step
+    mapping = policy.maps.get(branch.id)
+    if mapping is None:  # the shared policy, or a branch without a map
+        index = k
+    elif policy.kind == AncillaPolicy.PERMUTED:
+        index = mapping.get(k, k)
+    elif k in mapping:
+        index = mapping[k]
+    else:
+        raise PolicyError(f"custom map for branch {branch.id} does not cover offset {k}")
+    return branch.post_halt_label, 1, index
 
 
 def superposition_states(

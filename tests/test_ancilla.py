@@ -18,7 +18,7 @@ from haltlab.ancilla import (
     monitoring_effect,
     run_superposition,
 )
-from oracles import superposition_states
+from oracles import _composite, superposition_states
 
 INV_SQRT2 = 2**-0.5
 
@@ -49,8 +49,9 @@ def test_branch_requires_post_halt_label_when_orbit_stops_at_halt():
     with pytest.raises(BranchModelError):
         BranchSpec(id=1, orbit=("a", "b", "c"), halt_step=3)
     b = BranchSpec(id=1, orbit=("a", "b", "c"), halt_step=3, post_halt_label="done")
-    assert b.label_at(2) == "c"
-    assert b.label_at(99) == "done"
+    trace = run_superposition([b], [1.0], AncillaPolicy.shared(), t_max=99)
+    assert trace.branch_label(0, 2) == "c"
+    assert trace.branch_label(0, 99) == "done"
 
 
 def test_branch_orbit_tail_must_be_frozen():
@@ -94,6 +95,11 @@ def test_shared_policy_takes_no_maps():
 SHARED = AncillaPolicy.shared()
 
 
+def _read_step(reader, t):
+    """Call ``reader`` of a 0..4 trace for branch 0 at step ``t``."""
+    return lambda: getattr(run_superposition(_pair(3, 5), EQUAL_AMPS, SHARED, 4), reader)(0, t)
+
+
 @pytest.mark.parametrize(
     "call, error, fragment",
     [
@@ -103,6 +109,15 @@ SHARED = AncillaPolicy.shared()
                      PolicyError, "unknown policy kind 'LoopOrbit'", id="policy-kind"),
         pytest.param(lambda: run_superposition(_pair(3, 5), EQUAL_AMPS, SHARED, 4).state(5),
                      BranchModelError, "step 5 outside 0..4", id="trace-step"),
+        # a step of -1 must not read a column from its end
+        pytest.param(_read_step("branch_label", -1), BranchModelError,
+                     "step -1 outside 0..4", id="label-step-before-0"),
+        pytest.param(_read_step("branch_label", 5), BranchModelError,
+                     "step 5 outside 0..4", id="label-step-past-t-max"),
+        pytest.param(_read_step("branch_environment", -1), BranchModelError,
+                     "step -1 outside 0..4", id="environment-step-before-0"),
+        pytest.param(_read_step("branch_environment", 5), BranchModelError,
+                     "step 5 outside 0..4", id="environment-step-past-t-max"),
         pytest.param(lambda: run_superposition(_pair(3, 5), EQUAL_AMPS, SHARED, -1),
                      BranchModelError, "t_max must be >= 0", id="t-max"),
         pytest.param(lambda: run_superposition(_pair(3, 5), (1.0,), SHARED, 4),
@@ -186,6 +201,11 @@ def _assert_matches_oracle(branches, amps, policy, t_max):
     trace = run_superposition(branches, amps, policy, t_max)
     assert len(trace.states) == t_max + 1
     assert [_bits(trace.state(t)) for t in range(t_max + 1)] == expected
+    for i, branch in enumerate(branches):
+        for t in range(t_max + 1):
+            label, halt, index = _composite(branch, policy, t)
+            assert trace.branch_label(i, t) == label
+            assert trace.branch_environment(i, t) == (halt, index)
     return trace
 
 

@@ -444,6 +444,21 @@ def test_interfere_writes_csv_file(capsys, tmp_path):
     assert out_path.read_text().startswith("t,abs_coherence,monitored_delta\n")
 
 
+def test_interfere_out_to_an_unwritable_path_exits_2_before_the_run(capsys, monkeypatch, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started before --out was opened")
+
+    monkeypatch.setattr(haltlab.cli, "run_superposition", refuse)
+    path = tmp_path / "missing" / "rows.csv"
+    try:
+        open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        expected = f"error: {exc}\n"
+    assert run_cli(
+        capsys, "interfere", str(FIXTURES / "scenario_permuted.json"), "--out", str(path),
+    ) == (2, "", expected)
+
+
 @pytest.mark.parametrize(
     "scenario",
     [

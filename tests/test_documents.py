@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from haltlab.ancilla import run_superposition
 from haltlab.documents import (
     MAX_T_MAX,
     DocumentError,
@@ -299,7 +300,8 @@ def test_orbit_ending_at_its_halt_step_round_trips_its_post_halt_label():
 
     text = _first_branch(cut_orbit)
     scenario = loads_scenario(text)
-    assert scenario.branches[0].label_at(3) == "frozen"
+    trace = run_superposition(scenario.branches, scenario.amps, scenario.policy, t_max=3)
+    assert trace.branch_label(0, 3) == "frozen"
     once = dumps_scenario(scenario)
     assert json.loads(once) == json.loads(text)
     assert "post_halt_label" not in json.loads(once)["branches"][1]

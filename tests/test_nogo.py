@@ -283,6 +283,16 @@ def test_verify_nogo_on_random_tables():
         assert report.halting_mass <= 1e-10
 
 
+def test_verify_nogo_fails_on_residuals_above_its_tol():
+    # at the default tol the residual gate cannot fail once the unitarity
+    # precondition passes: every residual is then at most ~3e-12.  A tol
+    # between the mass and the rounding-level residuals shows it is applied
+    table = random_compliant_table(MachineDims(2, 2, 6), np.random.default_rng(1))
+    report = verify_nogo(table, tol=1e-20)
+    assert report.halting_mass <= 1e-20 < report.max_residual
+    assert not report.passed
+
+
 def test_report_serialization_round_trip_keys():
     report = verify_nogo(right_shift_table(MachineDims(2, 2, 6)))
     doc = report.as_dict()
