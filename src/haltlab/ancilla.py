@@ -14,6 +14,14 @@ index) for all its steps once, as one column; that is the only place
 the policy's map is applied.  The trace keeps the columns, and
 coherence and monitoring read labels and environments from them.
 
+``run_superposition`` keeps its last successful run, one entry, keyed
+by the identity of its ``branches`` and ``amps`` tuples and of its
+policy.  A request for the same three objects and a ``t_max`` no larger
+than the kept run's is served as a prefix of that run.  This is exact:
+step t depends only on the labels at step t, and a run to T that passed
+checked every step up to T.  It lets ``monitoring_effect``, which runs
+the branches again for each step t, read the command's own trace.
+
 Branches that halt at different times entangle the computational register
 with different halt-bit/ancilla states, so their mutual coherence in the
 reduced computational density matrix dies; with permuted sequences it can
@@ -24,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -118,8 +127,9 @@ class AncillaPolicy:
     extended by the identity for the permuted policy, and an explicit
     injective map for the custom policy.  Injectivity is what keeps
     post-halt ancilla states mutually orthogonal, and it is enforced at
-    construction.  The policy only holds the maps: ``run_superposition``
-    applies ``rho`` when it builds each branch's label column.
+    construction.  The policy only holds its kind and its maps, and never
+    changes after construction: ``run_superposition`` applies ``rho``
+    when it builds each branch's label column.
     """
 
     SHARED = "SharedOrbit"
@@ -129,8 +139,9 @@ class AncillaPolicy:
     def __init__(self, kind: str, maps: Mapping[int, Mapping[int, int]] | None = None):
         if kind not in (self.SHARED, self.PERMUTED, self.CUSTOM):
             raise PolicyError(f"unknown policy kind {kind!r}")
-        self.kind = kind
-        self.maps: Dict[int, Dict[int, int]] = {}
+        checked: Dict[int, Mapping[int, int]] = {}
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "maps", MappingProxyType(checked))
         if kind == self.SHARED:
             if maps:
                 raise PolicyError("the shared policy takes no per-branch maps")
@@ -143,7 +154,10 @@ class AncillaPolicy:
                 # anything short of a true permutation of its domain would
                 # collide with the identity extension
                 raise PolicyError(f"{what} is not a permutation of its domain")
-            self.maps[branch_id] = mapping
+            checked[branch_id] = MappingProxyType(mapping)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("an AncillaPolicy does not change after construction")
 
     @classmethod
     def shared(cls) -> "AncillaPolicy":
@@ -184,15 +198,20 @@ class RunTrace:
             raise BranchModelError(f"step {t} outside 0..{self.t_max}")
         return t
 
+    def _column(self, i: int) -> List[tuple]:
+        if not (0 <= i < len(self.columns)):
+            raise BranchModelError(f"branch index out of range: {i}")
+        return self.columns[i]
+
     def state(self, t: int) -> SparseState:
         return self.states[self._step(t)]
 
     def branch_label(self, i: int, t: int) -> Hashable:
-        return self.columns[i][self._step(t)][0]
+        return self._column(i)[self._step(t)][0]
 
     def branch_environment(self, i: int, t: int) -> Tuple[int, int]:
         """(halt bit, ancilla index) of branch i at step t."""
-        _, halt, index = self.columns[i][self._step(t)]
+        _, halt, index = self._column(i)[self._step(t)]
         return halt, index
 
 
@@ -219,6 +238,10 @@ def _label_column(branch: BranchSpec, policy: AncillaPolicy, t_max: int) -> list
     return column
 
 
+#: the last successful run as (branches, amps, policy, trace), or None
+_last_run: tuple | None = None
+
+
 def run_superposition(
     branches: Sequence[BranchSpec],
     amps: Sequence[complex],
@@ -241,7 +264,44 @@ def run_superposition(
     the collision merges or raises.  Steps are checked in order, so the
     first failing step raises; an uncovered custom offset raises at the
     step that reaches it, for the first such branch in position order.
+
+    Called again with the same ``branches`` and ``amps`` tuples and the
+    same policy object as the last successful run, and a ``t_max`` no
+    larger than that run's, it returns that run's first t_max + 1 steps:
+    the same state objects and the columns cut to t_max + 1 labels.
+    Lists, and equal but distinct objects, always run from step 0.
     """
+    global _last_run
+    last = _last_run
+    if (
+        last is not None
+        and branches is last[0]
+        and amps is last[1]
+        and policy is last[2]
+        and 0 <= t_max <= last[3].t_max
+    ):
+        kept = last[3]
+        return RunTrace(
+            branches=kept.branches,
+            amps=kept.amps,
+            t_max=t_max,
+            columns=tuple(column[: t_max + 1] for column in kept.columns),
+            states=kept.states[: t_max + 1],
+        )
+    _last_run = None  # at most one kept trace alive while this one is built
+    trace = _run(branches, amps, policy, t_max)
+    if type(branches) is tuple and type(amps) is tuple:
+        _last_run = (branches, amps, policy, trace)
+    return trace
+
+
+def _run(
+    branches: Sequence[BranchSpec],
+    amps: Sequence[complex],
+    policy: AncillaPolicy,
+    t_max: int,
+) -> RunTrace:
+    """The body of :func:`run_superposition`: every check, every step."""
     if t_max < 0:
         raise BranchModelError("t_max must be >= 0")
     if len(branches) != len(amps) or not branches:

@@ -306,9 +306,42 @@ MUTANTS = (
     ),
     Mutant(
         "label-reader-skips-the-range-check", "ancilla.py",
-        "return self.columns[i][self._step(t)][0]",
-        "return self.columns[i][t][0]",
+        "return self._column(i)[self._step(t)][0]",
+        "return self._column(i)[t][0]",
         ("tests/test_ancilla.py::test_input_checks[label-step-before-0]",),
+    ),
+    Mutant(
+        "branch-readers-skip-the-index-check", "ancilla.py",
+        "if not (0 <= i < len(self.columns)):",
+        "if False:",
+        ("tests/test_ancilla.py::test_input_checks[label-branch-before-0]",
+         "tests/test_ancilla.py::test_input_checks[environment-branch-past-n]"),
+    ),
+    # the one-entry memos of run_superposition and reduced_density
+    Mutant(
+        "run-memo-ignores-t-max", "ancilla.py",
+        "and 0 <= t_max <= last[3].t_max",
+        "and 0 <= t_max",
+        ("tests/test_ancilla.py::test_the_last_run_is_served_only_for_its_own_objects_and_steps",),
+    ),
+    Mutant(
+        "run-memo-ignores-the-policy", "ancilla.py",
+        "and policy is last[2]",
+        "and True",
+        ("tests/test_ancilla.py::test_the_last_run_is_served_only_for_its_own_objects_and_steps",),
+    ),
+    Mutant(
+        "run-memo-keeps-list-inputs", "ancilla.py",
+        "if type(branches) is tuple and type(amps) is tuple:",
+        "if True:",
+        ("tests/test_ancilla.py::test_a_list_changed_between_calls_is_run_again",),
+    ),
+    Mutant(
+        "density-memo-ignores-project", "hilbert.py",
+        "state is last[0] and project is last[1]",
+        "state is last[0]",
+        ("tests/test_hilbert.py::"
+         "test_reduced_density_is_returned_again_only_for_the_same_state_and_projection",),
     ),
     # CLI input checks
     Mutant(

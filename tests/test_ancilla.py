@@ -1,6 +1,7 @@
 """Branch model: traces, coherence, monitoring, fixed-point certificates."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -100,6 +101,11 @@ def _read_step(reader, t):
     return lambda: getattr(run_superposition(_pair(3, 5), EQUAL_AMPS, SHARED, 4), reader)(0, t)
 
 
+def _read_branch(reader, i):
+    """Call ``reader`` of a two-branch 0..4 trace for branch ``i`` at step 2."""
+    return lambda: getattr(run_superposition(_pair(3, 5), EQUAL_AMPS, SHARED, 4), reader)(i, 2)
+
+
 @pytest.mark.parametrize(
     "call, error, fragment",
     [
@@ -118,6 +124,15 @@ def _read_step(reader, t):
                      "step -1 outside 0..4", id="environment-step-before-0"),
         pytest.param(_read_step("branch_environment", 5), BranchModelError,
                      "step 5 outside 0..4", id="environment-step-past-t-max"),
+        # a branch index of -1 must not read the last branch's column
+        pytest.param(_read_branch("branch_label", -1), BranchModelError,
+                     "branch index out of range: -1", id="label-branch-before-0"),
+        pytest.param(_read_branch("branch_label", 2), BranchModelError,
+                     "branch index out of range: 2", id="label-branch-past-n"),
+        pytest.param(_read_branch("branch_environment", -1), BranchModelError,
+                     "branch index out of range: -1", id="environment-branch-before-0"),
+        pytest.param(_read_branch("branch_environment", 2), BranchModelError,
+                     "branch index out of range: 2", id="environment-branch-past-n"),
         pytest.param(lambda: run_superposition(_pair(3, 5), EQUAL_AMPS, SHARED, -1),
                      BranchModelError, "t_max must be >= 0", id="t-max"),
         pytest.param(lambda: run_superposition(_pair(3, 5), (1.0,), SHARED, 4),
@@ -482,6 +497,89 @@ def branch_scenarios(draw, extended=False):
 @settings(max_examples=300, deadline=None)
 def test_steps_match_the_state_built_from_scratch(scenario):
     _assert_matches_oracle(*scenario)
+
+
+@given(branch_scenarios(extended=True))
+@settings(max_examples=150, deadline=None)
+def test_a_prefix_of_the_last_run_equals_a_fresh_run(scenario):
+    branches, amps, policy, t_max = scenario
+    branches, amps = tuple(branches), tuple(amps)
+    # the longest run that passes, so that collisions and policy gaps of
+    # the scenario lie past every step served from it
+    while True:
+        try:
+            full = run_superposition(branches, amps, policy, t_max)
+            break
+        except BranchModelError:
+            if t_max == 0:
+                return
+            t_max -= 1
+    served = [run_superposition(branches, amps, policy, t) for t in range(t_max + 1)]
+    for t, trace in enumerate(served):
+        assert all(a is b for a, b in zip(trace.states, full.states))  # a hit
+        # copied tuples are other objects, so this run starts from step 0
+        fresh = run_superposition(tuple(list(branches)), tuple(list(amps)), policy, t)
+        assert fresh.states[0] is not full.states[0]
+        assert (trace.branches, trace.amps, trace.t_max) == (
+            fresh.branches, fresh.amps, fresh.t_max)
+        assert trace.columns == fresh.columns
+        assert [_bits(s) for s in trace.states] == [_bits(s) for s in fresh.states]
+
+
+def test_the_last_run_is_served_only_for_its_own_objects_and_steps():
+    branches = tuple(_pair(3, 5))
+    policy = AncillaPolicy.permuted({2: {0: 2, 2: 0}})
+    swapped = AncillaPolicy.permuted({2: {0: 1, 1: 0}})
+    cases = [  # (branches, amps, policy, t_max), served from the run to 8
+        ((branches, EQUAL_AMPS, policy, 5), True),
+        ((branches, EQUAL_AMPS, policy, 0), True),
+        ((branches, EQUAL_AMPS, policy, 10), False),
+        ((list(branches), EQUAL_AMPS, policy, 5), False),
+        ((branches, list(EQUAL_AMPS), policy, 5), False),
+        ((tuple(list(branches)), EQUAL_AMPS, policy, 5), False),
+        ((branches, EQUAL_AMPS, AncillaPolicy.permuted({2: {0: 2, 2: 0}}), 5), False),
+        ((branches, EQUAL_AMPS, swapped, 5), False),
+    ]
+    for args, served in cases:
+        full = run_superposition(branches, EQUAL_AMPS, policy, 8)
+        trace = run_superposition(*args)
+        b, a, p, t = args
+        fresh = run_superposition(list(b), list(a), p, t)
+        assert (trace.states[0] is full.states[0]) == served
+        assert trace.t_max == t
+        assert trace.columns == fresh.columns
+        assert [_bits(s) for s in trace.states] == [_bits(s) for s in fresh.states]
+
+
+def test_a_list_changed_between_calls_is_run_again():
+    branches = tuple(_pair(3, 5))
+    amps = list(EQUAL_AMPS)
+    run_superposition(branches, amps, SHARED, 8)
+    amps[1] = -amps[1]
+    trace = run_superposition(branches, amps, SHARED, 5)
+    assert trace.amps == (INV_SQRT2, -INV_SQRT2)
+
+
+def test_only_the_last_run_is_kept():
+    first = run_superposition(tuple(_pair(3, 5)), EQUAL_AMPS, SHARED, 8)
+    kept = weakref.ref(first)
+    del first
+    assert kept() is not None
+    run_superposition(tuple(_pair(2, 4)), EQUAL_AMPS, SHARED, 8)
+    assert kept() is None
+
+
+def test_a_policy_never_changes():
+    policy = AncillaPolicy.permuted({2: {0: 2, 2: 0}})
+    with pytest.raises(AttributeError):
+        policy.kind = AncillaPolicy.CUSTOM
+    with pytest.raises(AttributeError):
+        policy.maps = {}
+    with pytest.raises(TypeError):
+        policy.maps[2] = {}
+    with pytest.raises(TypeError):
+        policy.maps[2][0] = 0
+    assert (policy.kind, policy.maps) == (AncillaPolicy.PERMUTED, {2: {0: 2, 2: 0}})
 
 
 @given(branch_scenarios())

@@ -126,6 +126,19 @@ def test_reduced_density_trace_matches_squared_norm_unnormalized():
     assert rho.trace == pytest.approx(state.norm_squared(), abs=1e-12)
 
 
+def test_reduced_density_is_returned_again_only_for_the_same_state_and_projection():
+    state = SparseState({("c1", "e1"): INV_SQRT2, ("c2", "e2"): INV_SQRT2})
+    rho = reduced_density(state, _split_pair)
+    assert reduced_density(state, _split_pair) is rho
+    whole = reduced_density(state, lambda label: (label, None))
+    assert whole.labels == (("c1", "e1"), ("c2", "e2"))
+    copy = SparseState(state.items())
+    again = reduced_density(copy, _split_pair)
+    assert again is not rho
+    assert again.labels == rho.labels
+    assert again.matrix.tobytes() == rho.matrix.tobytes()
+
+
 def test_density_matrix_rejects_non_hermitian():
     with pytest.raises(HilbertError):
         DensityMatrix(("a", "b"), np.array([[1.0, 1.0], [0.0, 1.0]]))
