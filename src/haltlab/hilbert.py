@@ -7,6 +7,13 @@ oracles also use the engine for machine configurations.  Every
 reduction is bit-stable across runs: it iterates in sorted label order,
 or, like the norm, takes a correctly rounded sum that no order changes.
 
+``reduced_density`` sums with array operations.  It forms every product
+a·conj(b) of two entries under one environment as two real arrays, the
+parts that Python's complex product computes, and ``np.bincount`` adds
+each into its matrix cell from +0.0, environments in sorted order and
+label order within one.  Every entry is therefore the float sum, term for
+term, of the entry-by-entry loop that the test oracles keep.
+
 ``reduced_density`` keeps its last result, one entry, keyed by the
 identity of its ``state`` and ``project`` arguments, and returns it
 again for the same two objects.  This is exact: a ``SparseState`` and a
@@ -21,6 +28,7 @@ import math
 from typing import Callable, Hashable, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg.lapack import zpotrf
 
 __all__ = [
     "PRUNE_THRESHOLD",
@@ -37,6 +45,8 @@ __all__ = [
 PRUNE_THRESHOLD = 1e-15
 
 BasisLabel = Hashable
+
+_EPS = float(np.finfo(float).eps)
 
 
 class HilbertError(ValueError):
@@ -130,7 +140,17 @@ class SparseState:
 
 
 class DensityMatrix:
-    """Dense Hermitian PSD matrix over an ordered list of subsystem labels."""
+    """Dense Hermitian PSD matrix over an ordered list of subsystem labels.
+
+    The constructor copies ``matrix`` and makes its copy read-only, so a
+    density matrix never changes after construction, whatever becomes of
+    the array it was given.
+
+    A matrix is PSD when ``eigvalsh(matrix).min() >= -PSD_TOL``.  A shifted
+    Cholesky factorization accepts most PSD matrices first, without the
+    eigenvalues (:meth:`_cholesky_accepts`); whatever it does not accept,
+    ``eigvalsh`` decides.  Both read the lower triangle.
+    """
 
     #: construction tolerances
     HERMITICITY_TOL = 1e-12
@@ -139,23 +159,53 @@ class DensityMatrix:
     __slots__ = ("labels", "matrix")
 
     def __init__(self, labels: Sequence[BasisLabel], matrix: np.ndarray):
-        mat = np.asarray(matrix, dtype=complex)
+        mat = np.array(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] != len(labels):
             raise HilbertError(
                 f"matrix shape {mat.shape} does not match {len(labels)} labels"
             )
-        if not np.all(np.isfinite(mat.view(float))):
+        if not np.isfinite(mat).all():
             raise HilbertError("non-finite density matrix entry")
-        herm = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
+        herm = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
         if herm > self.HERMITICITY_TOL:
             raise HilbertError(f"density matrix not Hermitian: deviation {herm:.3e}")
-        if mat.size:
+        if mat.size and not self._cholesky_accepts(mat):
             eigmin = float(np.linalg.eigvalsh(mat).min())
             if eigmin < -self.PSD_TOL:
                 raise HilbertError(f"density matrix not PSD: min eigenvalue {eigmin:.3e}")
         mat.flags.writeable = False
         self.labels = tuple(labels)
         self.matrix = mat
+
+    def _cholesky_accepts(self, mat: np.ndarray) -> bool:
+        """True when a Cholesky factorization of ``mat + (PSD_TOL/2)·I``
+        completes and its backward error is provably below PSD_TOL/2.
+
+        If the factorization of the n×n Hermitian A_s = A + δI completes,
+        the computed factor R satisfies R*R = A_s + ΔA with
+        |ΔA| ≤ γ_{n+1}|R*||R| entrywise, γ_k = ku/(1 − ku) (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., §10.1.1;
+        the bound needs only that the factorization runs to completion, and
+        holds for any order of summation).  Then ||ΔA||_2 ≤ γ_{n+1}||R||_F^2
+        and ||R||_F^2 = tr(A_s + ΔA) ≤ tr(A_s)/(1 − γ_{n+1}).  Complex
+        arithmetic raises the constant by about √2 (ibid., §3.6), to below
+        √2·(n+1)·eps for n ≥ 1, with eps = 2u the machine epsilon.  So the
+        scale guard (n+1)·eps·tr(A_s) ≤ PSD_TOL/4 gives
+        ||ΔA||_2 < 0.36·PSD_TOL, the rounding of the shift included.  R*R is
+        PSD, hence λmin(A) ≥ −δ − ||ΔA||_2 > −0.86·PSD_TOL with
+        δ = PSD_TOL/2, and ``eigvalsh``, whose error on such a matrix is a
+        small multiple of eps·tr(A_s), would accept A too.  Outside the
+        guard this returns False, and so does a factorization that stops.
+        """
+        n = mat.shape[0]
+        shifted = mat.copy()
+        diagonal = shifted.reshape(-1)[:: n + 1]
+        diagonal += self.PSD_TOL / 2
+        trace = float(diagonal.real.sum())
+        if not (n + 1) * _EPS * trace <= self.PSD_TOL / 4:
+            return False
+        _, info = zpotrf(shifted, lower=1, clean=0)
+        return info == 0
 
     @property
     def trace(self) -> float:
@@ -199,32 +249,54 @@ def _reduced_density(
     state: SparseState,
     project: Callable[[BasisLabel], Tuple[BasisLabel, BasisLabel]],
 ) -> DensityMatrix:
-    """The body of :func:`reduced_density`: every sum and every check."""
+    """The body of :func:`reduced_density`: every sum and every check.
+
+    The entries are sorted once, by environment rank and then by label,
+    and every pair under one environment is listed a-major, in the order
+    in which a loop over environments, then rows, then columns visits them.
+    """
     norm_squared = state.norm_squared()
     if norm_squared == 0.0:
         raise HilbertError("reduced_density requires a state with positive norm")
 
-    by_env: dict = {}
-    sys_labels: set = set()
-    for label, amp in state.items():
-        sys_label, env_label = project(label)
-        sys_labels.add(sys_label)
-        by_env.setdefault(env_label, []).append((sys_label, amp))
-
-    ordered = sorted(sys_labels)
+    entries = state._entries
+    labels = sorted(entries)
+    n = len(labels)
+    sys_part, env_part = zip(*map(project, labels))
+    ordered = sorted(set(sys_part))
     index = {l: i for i, l in enumerate(ordered)}
-    # Python complex arithmetic, converted once: the same products and sums
-    # in the same order as adding into the array entry by entry
-    rows = [[0j] * len(ordered) for _ in ordered]
-    for env_label in sorted(by_env):
-        group = [(index[sys_label], amp) for sys_label, amp in by_env[env_label]]
-        conjugates = [(j, amp.conjugate()) for j, amp in group]
-        for i, amp_i in group:
-            row = rows[i]
-            for j, conj_j in conjugates:
-                row[j] += amp_i * conj_j
+    rank = {e: r for r, e in enumerate(sorted(set(env_part)))}
+    d = len(ordered)
 
-    dm = DensityMatrix(ordered, np.array(rows, dtype=complex))
+    # entries in sorted-environment order, label order within an environment
+    env = np.fromiter(map(rank.__getitem__, env_part), dtype=np.intp, count=n)
+    order = np.argsort(env, kind="stable")
+    env = env[order]
+    rows = np.fromiter(map(index.__getitem__, sys_part), dtype=np.intp, count=n)[order]
+    amps = np.fromiter(map(entries.__getitem__, labels), dtype=complex, count=n)[order]
+
+    # every pair (a, b) of entries under one environment, a-major: entry a
+    # pairs with the size[a] entries of its group, which starts at first[a],
+    # and its pairs start at run[a] in the list of all pairs
+    counts = np.bincount(env)
+    first = (np.cumsum(counts) - counts)[env]
+    size = counts[env]
+    run = np.cumsum(size) - size
+    a = np.repeat(np.arange(n), size)
+    b = first[a] + np.arange(a.size) - run[a]
+
+    # a_a * conj(a_b) as Python's complex product forms it, one real array
+    # per part (numpy's complex multiply may fuse a multiply-add and round
+    # differently); bincount adds each cell's terms from +0.0 in pair order,
+    # so every entry is the loop's sum, operation for operation
+    ar, ai = amps.real[a], amps.imag[a]
+    br, nbi = amps.real[b], -amps.imag[b]
+    cell = rows[a] * d + rows[b]
+    mat = np.empty(d * d, dtype=complex)
+    mat.real = np.bincount(cell, ar * br - ai * nbi, d * d)
+    mat.imag = np.bincount(cell, ar * nbi + ai * br, d * d)
+
+    dm = DensityMatrix(ordered, mat.reshape(d, d))
     drift = abs(dm.trace - norm_squared)
     if drift > 1e-12 * max(1.0, norm_squared):
         raise HilbertError(f"trace drifted from squared norm by {drift:.3e}")

@@ -343,6 +343,41 @@ MUTANTS = (
         ("tests/test_hilbert.py::"
          "test_reduced_density_is_returned_again_only_for_the_same_state_and_projection",),
     ),
+    # the reduced density's array path and the PSD check
+    Mutant(
+        "density-products-by-complex-multiply", "hilbert.py",
+        "    mat.real = np.bincount(cell, ar * br - ai * nbi, d * d)\n"
+        "    mat.imag = np.bincount(cell, ar * nbi + ai * br, d * d)",
+        "    prod = amps[a] * amps[b].conj()\n"
+        "    mat.real = np.bincount(cell, prod.real, d * d)\n"
+        "    mat.imag = np.bincount(cell, prod.imag, d * d)",
+        ("tests/test_hilbert.py::test_reduced_density_bits_equal_the_loop",),
+    ),
+    Mutant(
+        "density-environments-in-label-order", "hilbert.py",
+        "enumerate(sorted(set(env_part)))",
+        "enumerate(dict.fromkeys(env_part))",
+        ("tests/test_hilbert.py::test_reduced_density_bits_equal_the_loop",),
+    ),
+    Mutant(
+        "cholesky-shift-twice-the-tolerance", "hilbert.py",
+        "diagonal += self.PSD_TOL / 2",
+        "diagonal += 2 * self.PSD_TOL",
+        ("tests/test_hilbert.py::"
+         "test_psd_check_near_the_tolerance[past-the-shift-and-the-tolerance]",),
+    ),
+    Mutant(
+        "cholesky-without-the-scale-guard", "hilbert.py",
+        "if not (n + 1) * _EPS * trace <= self.PSD_TOL / 4:",
+        "if False:",
+        ("tests/test_hilbert.py::test_psd_check_outside_the_scale_guard_asks_eigvalsh",),
+    ),
+    Mutant(
+        "density-matrix-adopts-the-callers-array", "hilbert.py",
+        "mat = np.array(matrix, dtype=complex)",
+        "mat = np.asarray(matrix, dtype=complex)",
+        ("tests/test_hilbert.py::test_density_matrix_keeps_its_own_copy_of_the_input",),
+    ),
     # CLI input checks
     Mutant(
         "tol-may-be-infinite", "cli.py",

@@ -149,6 +149,105 @@ def test_density_matrix_rejects_negative():
         DensityMatrix(("a", "b"), np.array([[1.0, 0.0], [0.0, -1e-6]]))
 
 
+def test_density_matrix_keeps_its_own_copy_of_the_input():
+    base = np.diag([0.5, 0.5]).astype(complex)
+    whole = DensityMatrix(("a", "b"), base)
+    view = DensityMatrix(("a", "b"), base[:, :])
+    assert base.flags.writeable  # the caller's array is not frozen
+    base[0, 1] = 5
+    base[1, 1] = -3
+    for rho in (whole, view):
+        assert rho.trace == 1.0
+        assert rho.matrix.tobytes() == np.diag([0.5, 0.5]).astype(complex).tobytes()
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 2
+
+
+PSD_TOL = DensityMatrix.PSD_TOL
+
+
+def _hermitian(n, eigenvalues, seed):
+    """Q diag(eigenvalues) Q* for a random unitary Q, exactly Hermitian."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    mat = (q * np.asarray(eigenvalues)) @ q.conj().T
+    return (mat + mat.conj().T) / 2
+
+
+def _eigvalsh_calls(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(mat, *args, **kwargs):
+        calls.append(mat.shape)
+        return eigvalsh(mat, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def _psd_verdict(mat):
+    """None when DensityMatrix accepts ``mat``, else its error text."""
+    try:
+        DensityMatrix(range(mat.shape[0]), mat)
+    except HilbertError as exc:
+        return str(exc)
+    return None
+
+
+def _eigvalsh_verdict(mat):
+    eigmin = float(np.linalg.eigvalsh(mat).min())
+    return None if eigmin >= -PSD_TOL else f"density matrix not PSD: min eigenvalue {eigmin:.3e}"
+
+
+@given(
+    n=st.integers(1, 40),
+    lam_min=st.floats(-3.0, 3.0).map(lambda f: f * PSD_TOL),
+    low_rank=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_psd_verdict_equals_eigvalsh(n, lam_min, low_rank, seed):
+    """Full rank: one eigenvalue at lam_min, the others in [0.01, 1].
+    Rank-deficient: up to all eigenvalues at lam_min, so the matrix is
+    singular to within a few PSD_TOL."""
+    rng = np.random.default_rng(seed)
+    eigenvalues = rng.uniform(0.01, 1.0, size=n)
+    eigenvalues[: rng.integers(1, n + 1) if low_rank else 1] = lam_min
+    mat = _hermitian(n, eigenvalues, seed)
+    assert _psd_verdict(mat) == _eigvalsh_verdict(mat)
+
+
+@pytest.mark.parametrize(
+    "factor, accepted, eigvalsh_calls",
+    [
+        pytest.param(-0.4, True, 0, id="cholesky-accepts"),
+        pytest.param(-0.6, True, 1, id="eigvalsh-accepts"),
+        pytest.param(-1.01, False, 1, id="just-past-the-tolerance"),
+        pytest.param(-1.5, False, 1, id="past-the-shift-and-the-tolerance"),
+    ],
+)
+def test_psd_check_near_the_tolerance(monkeypatch, factor, accepted, eigvalsh_calls):
+    """The Cholesky route takes only what it can prove; the shift of
+    PSD_TOL/2 leaves lambda_min = -0.6·PSD_TOL to eigvalsh."""
+    mat = _hermitian(8, [factor * PSD_TOL] + [0.1 * k for k in range(1, 8)], seed=5)
+    expected = _eigvalsh_verdict(mat)
+    calls = _eigvalsh_calls(monkeypatch)
+    verdict = _psd_verdict(mat)
+    assert (verdict is None) == accepted
+    assert verdict == expected
+    assert len(calls) == eigvalsh_calls
+
+
+def test_psd_check_outside_the_scale_guard_asks_eigvalsh(monkeypatch):
+    """A large trace makes the Cholesky backward error too coarse to
+    prove anything at PSD_TOL, though the factorization would succeed."""
+    mat = _hermitian(8, [1e6 * k for k in range(1, 9)], seed=6)
+    calls = _eigvalsh_calls(monkeypatch)
+    assert _psd_verdict(mat) is None
+    assert len(calls) == 1
+
+
 # -- property tests ---------------------------------------------------------
 
 amplitudes = st.complex_numbers(
