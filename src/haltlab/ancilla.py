@@ -11,13 +11,15 @@ per-branch permutation of it, or an arbitrary injective map.
 
 A run builds each branch's composite labels (label, halt bit, ancilla
 index) for all its steps once, as one column; that is the only place
-the policy's map is applied.  The trace keeps the columns, and
-coherence and monitoring read labels and environments from them.
+the policy's map is applied.  The trace keeps them by step, one tuple of
+the n branches' labels per step, the order in which coherence and
+monitoring read labels and environments.
 
 ``run_superposition`` keeps its last successful run, one entry, keyed
 by the identity of its ``branches`` and ``amps`` tuples and of its
 policy.  A request for the same three objects and a ``t_max`` no larger
-than the kept run's is served as a prefix of that run.  This is exact:
+than the kept run's is served as a prefix of that run: the kept step
+tuples and states themselves, with no label copied.  This is exact:
 step t depends only on the labels at step t, and a run to T that passed
 checked every step up to T.  It lets ``monitoring_effect``, which runs
 the branches again for each step t, read the command's own trace.
@@ -33,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -103,11 +105,6 @@ class BranchSpec:
                 raise BranchModelError(
                     f"branch {self.id}: orbit[{t}] differs from the post-halt label"
                 )
-        # composite labels of the running steps, built once; not a field, so
-        # equality, hashing and repr are those of the four fields above
-        object.__setattr__(
-            self, "_running", tuple((self.orbit[t], 0, 0) for t in range(self.halt_step))
-        )
 
 
 def _check_injective(mapping: Mapping[int, int], what: str) -> None:
@@ -180,17 +177,17 @@ class RunTrace:
     """States of a branch superposition at steps 0 .. t_max.
 
     Composite basis labels are (computational label, halt bit, ancilla
-    index).  The trace keeps each branch's composite labels at steps
-    0 .. t_max as one column (a list, read and never changed), and one
-    SparseState per step, all of norm 1.  Every reader takes labels, halt
-    bits and ancilla indices from the columns, and refuses a step outside
-    0 .. t_max.
+    index).  ``steps[t]`` is the tuple of the n branches' composite labels
+    at step t, in branch order, for t = 0 .. t_max, and ``states[t]`` the
+    SparseState at step t, of norm 1.  Every reader takes labels, halt
+    bits and ancilla indices from the steps, and refuses a branch index
+    outside 0 .. n-1 and then a step outside 0 .. t_max.
     """
 
     branches: Tuple[BranchSpec, ...]
     amps: Tuple[complex, ...]
     t_max: int
-    columns: Tuple[List[tuple], ...] = field(repr=False)
+    steps: Tuple[Tuple[tuple, ...], ...] = field(repr=False)
     states: Tuple[SparseState, ...] = field(repr=False)
 
     def _step(self, t: int) -> int:
@@ -198,29 +195,29 @@ class RunTrace:
             raise BranchModelError(f"step {t} outside 0..{self.t_max}")
         return t
 
-    def _column(self, i: int) -> List[tuple]:
-        if not (0 <= i < len(self.columns)):
+    def _composite(self, i: int, t: int) -> tuple:
+        if not (0 <= i < len(self.branches)):
             raise BranchModelError(f"branch index out of range: {i}")
-        return self.columns[i]
+        return self.steps[self._step(t)][i]
 
     def state(self, t: int) -> SparseState:
         return self.states[self._step(t)]
 
     def branch_label(self, i: int, t: int) -> Hashable:
-        return self._column(i)[self._step(t)][0]
+        return self._composite(i, t)[0]
 
     def branch_environment(self, i: int, t: int) -> Tuple[int, int]:
         """(halt bit, ancilla index) of branch i at step t."""
-        _, halt, index = self._column(i)[self._step(t)]
+        _, halt, index = self._composite(i, t)
         return halt, index
 
 
 def _label_column(branch: BranchSpec, policy: AncillaPolicy, t_max: int) -> list:
     """Composite labels (label, halt bit, ancilla index) of one branch at
-    steps 0 .. t_max: the one place that applies the policy's ``rho``.  A
-    custom map that leaves an offset uncovered ends the column at the
-    step that reaches it."""
-    column = list(branch._running[: t_max + 1])
+    steps 0 .. t_max: the one place that applies the policy's ``rho``.  The
+    running steps are (orbit entry, 0, 0).  A custom map that leaves an
+    offset uncovered ends the column at the step that reaches it."""
+    column = [(label, 0, 0) for label in branch.orbit[: min(branch.halt_step, t_max + 1)]]
     halted = range(t_max + 1 - branch.halt_step)
     if not halted:
         return column
@@ -257,7 +254,8 @@ def run_superposition(
     composite label, which the branch bookkeeping cannot represent.
 
     The amplitudes are validated and pruned once, keyed by branch
-    position, and each branch's labels are built once as a column.  Each
+    position, and each branch's labels are built once as a column; the
+    trace keeps them by step, as the tuples the step loop reads.  Each
     step maps its composite labels to the validated amplitudes; when the
     labels are pairwise distinct it drops the pruned positions and keeps
     the validated norm, and when labels collide it builds a new state, so
@@ -268,7 +266,7 @@ def run_superposition(
     Called again with the same ``branches`` and ``amps`` tuples and the
     same policy object as the last successful run, and a ``t_max`` no
     larger than that run's, it returns that run's first t_max + 1 steps:
-    the same state objects and the columns cut to t_max + 1 labels.
+    the same step tuples and state objects, with no label copied.
     Lists, and equal but distinct objects, always run from step 0.
     """
     global _last_run
@@ -285,7 +283,7 @@ def run_superposition(
             branches=kept.branches,
             amps=kept.amps,
             t_max=t_max,
-            columns=tuple(column[: t_max + 1] for column in kept.columns),
+            steps=kept.steps[: t_max + 1],
             states=kept.states[: t_max + 1],
         )
     _last_run = None  # at most one kept trace alive while this one is built
@@ -326,8 +324,9 @@ def _run(
     pruned = [k for k in range(n) if k not in validated]
     kept_norm = validated.norm()
     columns = [_label_column(b, policy, t_max) for b in branches]
+    steps = tuple(zip(*columns))
     states = []
-    for t, labels in enumerate(zip(*columns)):
+    for t, labels in enumerate(steps):
         entries = dict(zip(labels, stored))
         if len(entries) == n:  # the labels are distinct
             for k in pruned:
@@ -354,7 +353,7 @@ def _run(
         branches=tuple(branches),
         amps=amps,
         t_max=t_max,
-        columns=tuple(columns),
+        steps=steps,
         states=tuple(states),
     )
 
@@ -385,8 +384,7 @@ def coherence(trace: RunTrace, t: int, i: int, j: int) -> complex:
         raise BranchModelError(f"branch index out of range: ({i}, {j})")
     if i == j:
         raise BranchModelError("coherence needs two distinct branches")
-    trace._step(t)
-    step = [column[t] for column in trace.columns]
+    step = trace.steps[trace._step(t)]
     (c_i, *env_i), (c_j, *env_j) = step[i], step[j]
     value = trace.amps[i] * trace.amps[j].conjugate() if env_i == env_j else 0j
 
@@ -428,7 +426,7 @@ def monitored_run(
         # per composite label before squaring
         cells: Dict[tuple, complex] = {}
         for idx in groups[record]:
-            composite = trace.columns[idx][t_max]
+            composite = trace.steps[t_max][idx]
             cells[composite] = cells.get(composite, 0j) + trace.amps[idx]
         for (label, _halt, _index), amp in sorted(cells.items()):
             prob = abs(amp) ** 2

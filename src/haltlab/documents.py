@@ -21,6 +21,7 @@ from .qtm import DENSE_DIMENSION_CAP, MachineDims, MachineError, TransitionTable
 __all__ = [
     "FORMAT_VERSION",
     "MAX_T_MAX",
+    "MAX_TRACE_LABELS",
     "DocumentError",
     "ScenarioDef",
     "load_machine",
@@ -43,6 +44,14 @@ AMP_NORM_TOL = 1e-9
 #: largest ``t_max`` a scenario may ask for: the trace keeps every step's
 #: state, so an unbounded step count would grow memory without limit
 MAX_T_MAX = 10_000
+
+#: largest trace a scenario may ask for, in composite labels: branches
+#: times (t_max + 1).  The trace keeps one label and one state entry per
+#: branch and step, whatever the document's size: ``interfere`` on a
+#: 17-KB document of 100 branches at MAX_T_MAX, this cap, peaks at
+#: 232 MiB resident (CPython 3.11), about 140 B per label beyond the
+#: interpreter's own
+MAX_TRACE_LABELS = 100 * (MAX_T_MAX + 1)
 
 
 class DocumentError(ValueError):
@@ -327,6 +336,13 @@ def loads_scenario(text: str) -> ScenarioDef:
         raise DocumentError("policy", str(exc)) from None
 
     t_max = _int_field(doc, "t_max", "document", 0, MAX_T_MAX)
+    labels = len(branches) * (t_max + 1)
+    if labels > MAX_TRACE_LABELS:
+        raise DocumentError(
+            "document",
+            f"{len(branches)} branches over {t_max + 1} steps make {labels} composite "
+            f"labels, more than {MAX_TRACE_LABELS}",
+        )
     return ScenarioDef(branches=tuple(branches), amps=amps, policy=policy, t_max=t_max)
 
 

@@ -297,7 +297,7 @@ MUTANTS = (
         "if False:",
         ("tests/test_ancilla.py::test_input_checks[monitoring-pair]",),
     ),
-    # labels, halt bits and ancilla indices read from the trace's columns
+    # labels, halt bits and ancilla indices read from the trace's steps
     Mutant(
         "policy-gap-names-the-step", "ancilla.py",
         "does not cover offset {t - b.halt_step}",
@@ -306,16 +306,28 @@ MUTANTS = (
     ),
     Mutant(
         "label-reader-skips-the-range-check", "ancilla.py",
-        "return self._column(i)[self._step(t)][0]",
-        "return self._column(i)[t][0]",
+        "return self.steps[self._step(t)][i]",
+        "return self.steps[t][i]",
         ("tests/test_ancilla.py::test_input_checks[label-step-before-0]",),
     ),
     Mutant(
         "branch-readers-skip-the-index-check", "ancilla.py",
-        "if not (0 <= i < len(self.columns)):",
+        "if not (0 <= i < len(self.branches)):",
         "if False:",
         ("tests/test_ancilla.py::test_input_checks[label-branch-before-0]",
          "tests/test_ancilla.py::test_input_checks[environment-branch-past-n]"),
+    ),
+    Mutant(
+        "served-prefix-keeps-every-step", "ancilla.py",
+        "steps=kept.steps[: t_max + 1]",
+        "steps=kept.steps",
+        ("tests/test_ancilla.py::test_the_last_run_is_served_only_for_its_own_objects_and_steps",),
+    ),
+    Mutant(
+        "monitored-run-reads-the-first-step", "ancilla.py",
+        "steps[t_max]",
+        "steps[0]",
+        ("tests/test_ancilla.py::test_monitored_run_marks_unhalted_branches",),
     ),
     # the one-entry memos of run_superposition and reduced_density
     Mutant(
@@ -397,6 +409,93 @@ MUTANTS = (
         "except (UsageError, OSError, MachineError) as exc:",
         "except (UsageError, FileNotFoundError, MachineError) as exc:",
         ("tests/test_cli.py::test_a_directory_is_a_usage_error",),
+    ),
+    # document field checks, each deleted
+    Mutant(
+        "top-level-may-be-any-value", "documents.py",
+        "if not isinstance(doc, dict):",
+        "if False:",
+        ("tests/test_documents.py::test_input_checks[top-level]",),
+    ),
+    Mutant(
+        "field-holder-may-be-any-value", "documents.py",
+        "if not isinstance(obj, dict):\n        raise DocumentError(path, f\"expected an object, got",
+        "if False:\n        raise DocumentError(path, f\"expected an object, got",
+        ("tests/test_documents.py::test_input_checks[holder-not-object]",),
+    ),
+    Mutant(
+        "missing-field-unchecked", "documents.py",
+        "if key not in obj:",
+        "if False:",
+        ("tests/test_documents.py::test_input_checks[missing-field]",),
+    ),
+    Mutant(
+        "amplitude-may-be-infinite", "documents.py",
+        "if not (math.isfinite(z.real) and math.isfinite(z.imag)):",
+        "if False:",
+        ("tests/test_documents.py::test_input_checks[json-1e400]",),
+    ),
+    Mutant(
+        "rules-may-be-any-value", "documents.py",
+        "if not isinstance(rules_obj, list):",
+        "if False:",
+        ("tests/test_documents.py::test_input_checks[rules-not-list]",),
+    ),
+    Mutant(
+        "outcomes-may-be-any-value", "documents.py",
+        "if not isinstance(out, list):",
+        "if False:",
+        ("tests/test_documents.py::test_input_checks[out-not-list]",),
+    ),
+    Mutant(
+        "orbit-may-be-any-value", "documents.py",
+        "if not isinstance(orbit, list):",
+        "if False:",
+        ("tests/test_documents.py::test_input_checks[orbit-not-list]",),
+    ),
+    Mutant(
+        "branches-may-be-empty", "documents.py",
+        "if not isinstance(branches_obj, list) or not branches_obj:",
+        "if not isinstance(branches_obj, list):",
+        ("tests/test_documents.py::test_input_checks[no-branches]",),
+    ),
+    Mutant(
+        "policy-maps-may-be-any-value", "documents.py",
+        "if not isinstance(obj, dict):\n        raise DocumentError(path, \"expected an object\")",
+        "if False:\n        raise DocumentError(path, \"expected an object\")",
+        ("tests/test_documents.py::test_input_checks[maps-not-object]",),
+    ),
+    Mutant(
+        "index-map-may-be-any-value", "documents.py",
+        "if not isinstance(obj, dict):\n        raise DocumentError(path, \"expected an object of",
+        "if False:\n        raise DocumentError(path, \"expected an object of",
+        ("tests/test_documents.py::test_input_checks[map-not-object]",),
+    ),
+    Mutant(
+        "orbit-label-type-unchecked", "documents.py",
+        "if isinstance(label, bool) or not isinstance(label, (str, int)):",
+        "if False:",
+        ("tests/test_documents.py::test_input_checks[label-type]",),
+    ),
+    Mutant(
+        "post-halt-label-type-unchecked", "documents.py",
+        "if isinstance(post, bool) or not isinstance(post, (str, int)):",
+        "if False:",
+        ("tests/test_documents.py::test_input_checks[post-halt-label-type]",),
+    ),
+    Mutant(
+        "scenario-policy-kind-unchecked", "documents.py",
+        "if not isinstance(kind, str) or kind not in _MAP_FIELDS:",
+        "if False:",
+        ("tests/test_documents.py::test_input_checks[policy-kind]",),
+    ),
+    Mutant(
+        "trace-labels-uncapped", "documents.py",
+        "if labels > MAX_TRACE_LABELS:",
+        "if False:",
+        ("tests/test_documents.py::test_scenario_trace_is_capped_in_labels",
+         "tests/test_cli.py::"
+         "test_interfere_refuses_a_trace_past_the_label_cap_before_the_run"),
     ),
     Mutant(
         "decode-errors-escape", "documents.py",

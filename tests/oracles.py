@@ -296,8 +296,8 @@ def _composite(branch: BranchSpec, policy: AncillaPolicy, t: int):
     """(label, halt bit, ancilla index) of ``branch`` at step ``t``, one
     step at a time: the orbit entry and index 0 before the halt step, then
     the post-halt label and ``rho(t - halt_step)``, with ``rho`` read from
-    the policy's kind and maps.  The reference for the label columns of
-    :func:`haltlab.ancilla.run_superposition`."""
+    the policy's kind and maps.  The reference for the step tuples of the
+    trace that :func:`haltlab.ancilla.run_superposition` returns."""
     if t < branch.halt_step:
         return branch.orbit[t], 0, 0
     k = t - branch.halt_step

@@ -216,6 +216,9 @@ def _assert_matches_oracle(branches, amps, policy, t_max):
     trace = run_superposition(branches, amps, policy, t_max)
     assert len(trace.states) == t_max + 1
     assert [_bits(trace.state(t)) for t in range(t_max + 1)] == expected
+    assert trace.steps == tuple(
+        tuple(_composite(b, policy, t) for b in branches) for t in range(t_max + 1)
+    )
     for i, branch in enumerate(branches):
         for t in range(t_max + 1):
             label, halt, index = _composite(branch, policy, t)
@@ -517,12 +520,15 @@ def test_a_prefix_of_the_last_run_equals_a_fresh_run(scenario):
     served = [run_superposition(branches, amps, policy, t) for t in range(t_max + 1)]
     for t, trace in enumerate(served):
         assert all(a is b for a, b in zip(trace.states, full.states))  # a hit
+        # the kept run's step tuples themselves, not copies of them
+        assert len(trace.steps) == t + 1
+        assert all(a is b for a, b in zip(trace.steps, full.steps))
         # copied tuples are other objects, so this run starts from step 0
         fresh = run_superposition(tuple(list(branches)), tuple(list(amps)), policy, t)
         assert fresh.states[0] is not full.states[0]
         assert (trace.branches, trace.amps, trace.t_max) == (
             fresh.branches, fresh.amps, fresh.t_max)
-        assert trace.columns == fresh.columns
+        assert trace.steps == fresh.steps
         assert [_bits(s) for s in trace.states] == [_bits(s) for s in fresh.states]
 
 
@@ -547,7 +553,7 @@ def test_the_last_run_is_served_only_for_its_own_objects_and_steps():
         fresh = run_superposition(list(b), list(a), p, t)
         assert (trace.states[0] is full.states[0]) == served
         assert trace.t_max == t
-        assert trace.columns == fresh.columns
+        assert trace.steps == fresh.steps
         assert [_bits(s) for s in trace.states] == [_bits(s) for s in fresh.states]
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import haltlab.cli
 from haltlab.cli import main
-from haltlab.documents import dumps_machine
+from haltlab.documents import MAX_T_MAX, MAX_TRACE_LABELS, dumps_machine
 from haltlab.qtm import MachineDims, TransitionTable, check_global_unitarity, right_shift_table
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -612,6 +612,29 @@ def test_interfere_refuses_a_map_for_a_missing_branch(capsys, tmp_path):
     code, out, err = run_cli(capsys, "interfere", path, "--pair", "0,1")
     assert (code, out) == (1, "")
     assert err == "error: PermutedOrbit map for branch 3, which no branch has\n"
+
+
+def test_interfere_refuses_a_trace_past_the_label_cap_before_the_run(capsys, monkeypatch, tmp_path):
+    # one branch more than MAX_TRACE_LABELS admits at MAX_T_MAX: a document
+    # of a few kilobytes that would ask for more than a million labels
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started before the trace size was checked")
+
+    monkeypatch.setattr(haltlab.cli, "run_superposition", refuse)
+    n = MAX_TRACE_LABELS // (MAX_T_MAX + 1) + 1
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({
+        "format_version": 1,
+        "branches": [{"id": k, "orbit": [f"c{k}"], "halt_step": 0} for k in range(n)],
+        "amps": [[n**-0.5, 0.0]] * n,
+        "policy": {"kind": "SharedOrbit"},
+        "t_max": MAX_T_MAX,
+    }))
+    labels = n * (MAX_T_MAX + 1)
+    assert run_cli(capsys, "interfere", str(path)) == (2, "", (
+        f"parse error: document: {n} branches over {MAX_T_MAX + 1} steps make {labels} "
+        f"composite labels, more than {MAX_TRACE_LABELS}\n"
+    ))
 
 
 @pytest.mark.parametrize("amp", [1e155, 1e200])

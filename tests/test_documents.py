@@ -9,6 +9,7 @@ import pytest
 from haltlab.ancilla import run_superposition
 from haltlab.documents import (
     MAX_T_MAX,
+    MAX_TRACE_LABELS,
     DocumentError,
     dumps_machine,
     dumps_scenario,
@@ -213,6 +214,32 @@ def test_scenario_t_max_is_capped():
     assert at_cap.t_max == MAX_T_MAX
     with pytest.raises(DocumentError, match=r"^document.t_max: must be <= 10000, got 10001$"):
         loads_scenario(_altered("scenario_permuted.json", lambda d: d.update(t_max=MAX_T_MAX + 1)))
+
+
+def _halted_branches(n, t_max):
+    """Scenario text: n branches halted at step 0 on distinct labels."""
+    return json.dumps({
+        "format_version": 1,
+        "branches": [{"id": k, "orbit": [f"c{k}"], "halt_step": 0} for k in range(n)],
+        "amps": [[n**-0.5, 0.0]] * n,
+        "policy": {"kind": "SharedOrbit"},
+        "t_max": t_max,
+    })
+
+
+def test_scenario_trace_is_capped_in_labels():
+    n = MAX_TRACE_LABELS // (MAX_T_MAX + 1)
+    at_cap = loads_scenario(_halted_branches(n, MAX_T_MAX))
+    assert len(at_cap.branches) * (at_cap.t_max + 1) == MAX_TRACE_LABELS
+    # one branch more, at the smallest t_max whose trace passes the cap
+    t_max = MAX_TRACE_LABELS // (n + 1)
+    assert (n + 1) * t_max <= MAX_TRACE_LABELS < (n + 1) * (t_max + 1)
+    with pytest.raises(DocumentError) as err:
+        loads_scenario(_halted_branches(n + 1, t_max))
+    assert str(err.value) == (
+        f"document: {n + 1} branches over {t_max + 1} steps make "
+        f"{(n + 1) * (t_max + 1)} composite labels, more than {MAX_TRACE_LABELS}"
+    )
 
 
 def test_load_functions_read_files(tmp_path):
