@@ -358,11 +358,6 @@ def _run(
     )
 
 
-def _split_computational(label):
-    comp, halt, anc = label
-    return comp, (halt, anc)
-
-
 def _density_entry(rho: DensityMatrix, row, col) -> complex:
     """rho[row, col], read as zero where a branch pruned from the state
     (amplitude at or below the prune threshold) left no row or column."""
@@ -389,7 +384,7 @@ def coherence(trace: RunTrace, t: int, i: int, j: int) -> complex:
     value = trace.amps[i] * trace.amps[j].conjugate() if env_i == env_j else 0j
 
     if len({label for label, _, _ in step}) == n:
-        rho = reduced_density(trace.state(t), _split_computational)
+        rho = reduced_density(trace.state(t))
         entry = _density_entry(rho, c_i, c_j)
         if abs(entry - value) > AGREEMENT_TOL:
             raise BranchModelError(
@@ -468,7 +463,7 @@ def monitoring_effect(
             f"branches {i} and {j} share label {ci!r} at step {t}; projector degenerate"
         )
 
-    rho = reduced_density(trace.state(t), _split_computational)
+    rho = reduced_density(trace.state(t))
     rho_ii = _density_entry(rho, ci, ci).real
     rho_jj = _density_entry(rho, cj, cj).real
     rho_ij = _density_entry(rho, ci, cj)
@@ -497,20 +492,21 @@ class FixedPointCertificate:
 
 
 def fixed_point_impossibility(
-    dim: int, overlap: float | None = None, seed: int = 0
+    dim: int, overlap: float, seed: int = 0
 ) -> FixedPointCertificate:
     """Build U with U|psi_tilde> = |psi> and measure how badly U|psi> = |psi> fails.
 
-    ``overlap`` is the real inner product <psi_tilde|psi> in [0, 1]; a
-    random value is drawn when omitted.  U is the Householder reflection
-    swapping the two states, so the residual ||U psi - psi|| equals
-    ||psi - psi_tilde|| = sqrt(2 - 2 overlap), the bound unitarity alone
-    imposes.  Only overlap 1 (psi_tilde = psi) makes the residual vanish.
+    ``overlap`` is the real inner product <psi_tilde|psi> in [0, 1], and
+    the two states are drawn from ``default_rng(seed)``.  U is the
+    Householder reflection swapping them, so the residual ||U psi - psi||
+    equals ||psi - psi_tilde|| = sqrt(2 - 2 overlap), the bound unitarity
+    alone imposes.  Only overlap 1 (psi_tilde = psi) makes the residual
+    vanish.
     """
     if dim < 2:
         raise BranchModelError("need dimension >= 2")
     rng = np.random.default_rng(seed)
-    r = float(rng.uniform(0.0, 1.0)) if overlap is None else float(overlap)
+    r = float(overlap)
     if not 0.0 <= r <= 1.0:
         raise BranchModelError(f"overlap must lie in [0, 1], got {r}")
 

@@ -7,6 +7,11 @@ oracles also use the engine for machine configurations.  Every
 reduction is bit-stable across runs: it iterates in sorted label order,
 or, like the norm, takes a correctly rounded sum that no order changes.
 
+``reduced_density`` reads its labels as tuples: ``label[0]`` is the
+subsystem and ``label[1:]`` the environment, so a branch label
+(computational label, halt bit, ancilla index) splits into the
+computational label and (halt bit, ancilla index).
+
 ``reduced_density`` sums with array operations.  It forms every product
 a·conj(b) of two entries under one environment as two real arrays, the
 parts that Python's complex product computes, and ``np.bincount`` adds
@@ -15,17 +20,16 @@ label order within one.  Every entry is therefore the float sum, term for
 term, of the entry-by-entry loop that the test oracles keep.
 
 ``reduced_density`` keeps its last result, one entry, keyed by the
-identity of its ``state`` and ``project`` arguments, and returns it
-again for the same two objects.  This is exact: a ``SparseState`` and a
-``DensityMatrix`` never change after construction.  Coherence and
-monitoring read the same step's state of one trace, so the second of
-their two builds is a lookup.
+identity of its ``state``, and returns it again for the same object.
+This is exact: a ``SparseState`` and a ``DensityMatrix`` never change
+after construction.  Coherence and monitoring read the same step's
+state of one trace, so the second of their two builds is a lookup.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Hashable, Iterable, Mapping, Sequence, Tuple
+from typing import Hashable, Iterable, Mapping, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg.lapack import zpotrf
@@ -220,35 +224,30 @@ class DensityMatrix:
         return f"DensityMatrix(dim={len(self.labels)}, trace={self.trace:.6g})"
 
 
-#: the last result as (state, project, density matrix), or None
+#: the last result as (state, density matrix), or None
 _last_density: tuple | None = None
 
 
-def reduced_density(
-    state: SparseState,
-    project: Callable[[BasisLabel], Tuple[BasisLabel, BasisLabel]],
-) -> DensityMatrix:
-    """Reduced density matrix of the subsystem singled out by ``project``.
+def reduced_density(state: SparseState) -> DensityMatrix:
+    """Reduced density matrix of the subsystem ``label[0]`` of tuple labels.
 
-    ``project`` splits each basis label into a ``(subsystem, environment)``
-    pair.  The result is rho[c, c'] = sum_e amp(c, e) * conj(amp(c', e)),
-    with rows/columns ordered by sorted subsystem label; its trace equals
-    the squared norm of ``state``.  Called again with the same state and
-    project objects, it returns the same matrix object.
+    Each basis label is a tuple whose first entry is the subsystem and
+    whose remaining entries, ``label[1:]``, are the environment.  The
+    result is rho[c, c'] = sum_e amp(c, e) * conj(amp(c', e)), with
+    rows/columns ordered by sorted subsystem label; its trace equals the
+    squared norm of ``state``.  Called again with the same state object,
+    it returns the same matrix object.
     """
     global _last_density
     last = _last_density
-    if last is not None and state is last[0] and project is last[1]:
-        return last[2]
-    dm = _reduced_density(state, project)
-    _last_density = (state, project, dm)
+    if last is not None and state is last[0]:
+        return last[1]
+    dm = _reduced_density(state)
+    _last_density = (state, dm)
     return dm
 
 
-def _reduced_density(
-    state: SparseState,
-    project: Callable[[BasisLabel], Tuple[BasisLabel, BasisLabel]],
-) -> DensityMatrix:
+def _reduced_density(state: SparseState) -> DensityMatrix:
     """The body of :func:`reduced_density`: every sum and every check.
 
     The entries are sorted once, by environment rank and then by label,
@@ -262,7 +261,8 @@ def _reduced_density(
     entries = state._entries
     labels = sorted(entries)
     n = len(labels)
-    sys_part, env_part = zip(*map(project, labels))
+    sys_part = [label[0] for label in labels]
+    env_part = [label[1:] for label in labels]
     ordered = sorted(set(sys_part))
     index = {l: i for i, l in enumerate(ordered)}
     rank = {e: r for r, e in enumerate(sorted(set(env_part)))}

@@ -11,23 +11,26 @@ Run from the repository root::
     python tests/mutants.py            # every row
     python tests/mutants.py NAME ...   # the named rows only
 
-The runner copies ``src`` and ``tests`` to a temporary directory and
-first runs every named test on the unmutated copy.  Then it applies each
-row alone and runs only that row's tests.  It exits 1 if a baseline test
-fails, if a row's text no longer occurs exactly once, if a mutant
-survives, or if an ``equivalent`` mutant is killed (then its reason is
-wrong).
+The runner makes one temporary copy of ``src`` and ``tests`` for each of
+its ``os.cpu_count()`` workers, and first runs every named test on the
+unmutated copies, a share on each.  Then each free worker takes the next
+row, applies it alone to its own copy and runs only that row's tests;
+results print in row order.  It exits 1 if a baseline test fails, if a
+row's text no longer occurs exactly once, if a mutant survives, or if an
+``equivalent`` mutant is killed (then its reason is wrong).
 """
 
 from __future__ import annotations
 
 import os
 import pathlib
+import queue
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple, Optional, Tuple
 
 
@@ -151,6 +154,12 @@ MUTANTS = (
         "RESCUE_ROUNDS = 3",
         "RESCUE_ROUNDS = 0",
         ("tests/test_cli.py::test_search_rescues_a_restart_stuck_off_unitarity[2148]",),
+    ),
+    Mutant(
+        "rescue-draw-imaginary-sign-flipped", "search.py",
+        "raw = rng.standard_normal(int(mask_k.sum())) + 1j * rng.standard_normal(",
+        "raw = rng.standard_normal(int(mask_k.sum())) - 1j * rng.standard_normal(",
+        ("tests/test_search.py::test_a_rescued_restart_ends_at_zero_mass_on_a_unitary_table",),
     ),
     Mutant(
         "penalty-pair-multiplicity", "search.py",
@@ -297,6 +306,30 @@ MUTANTS = (
         "if False:",
         ("tests/test_ancilla.py::test_input_checks[monitoring-pair]",),
     ),
+    Mutant(
+        "orbit-may-miss-pre-halt-steps", "ancilla.py",
+        "if len(self.orbit) < self.halt_step:",
+        "if False:",
+        ("tests/test_ancilla.py::test_branch_orbit_must_cover_pre_halt_steps",),
+    ),
+    Mutant(
+        "duplicated-branches-accepted", "ancilla.py",
+        "if len(fingerprints) != len(branches):",
+        "if False:",
+        ("tests/test_ancilla.py::test_duplicated_branches_rejected",),
+    ),
+    Mutant(
+        "fixed-point-dimension-unchecked", "ancilla.py",
+        "if dim < 2:",
+        "if False:",
+        ("tests/test_ancilla.py::test_fixed_point_validates_arguments",),
+    ),
+    Mutant(
+        "fixed-point-overlap-unchecked", "ancilla.py",
+        "if not 0.0 <= r <= 1.0:",
+        "if False:",
+        ("tests/test_ancilla.py::test_fixed_point_validates_arguments",),
+    ),
     # labels, halt bits and ancilla indices read from the trace's steps
     Mutant(
         "policy-gap-names-the-step", "ancilla.py",
@@ -329,6 +362,12 @@ MUTANTS = (
         "steps[0]",
         ("tests/test_ancilla.py::test_monitored_run_marks_unhalted_branches",),
     ),
+    Mutant(
+        "monitored-run-keeps-zero-probabilities", "ancilla.py",
+        "if prob > 0.0:",
+        "if prob >= 0.0:",
+        ("tests/test_ancilla.py::test_monitored_run_leaves_out_a_branch_of_amplitude_zero",),
+    ),
     # the one-entry memos of run_superposition and reduced_density
     Mutant(
         "run-memo-ignores-t-max", "ancilla.py",
@@ -349,9 +388,9 @@ MUTANTS = (
         ("tests/test_ancilla.py::test_a_list_changed_between_calls_is_run_again",),
     ),
     Mutant(
-        "density-memo-ignores-project", "hilbert.py",
-        "state is last[0] and project is last[1]",
-        "state is last[0]",
+        "density-memo-ignores-the-state", "hilbert.py",
+        "if last is not None and state is last[0]:",
+        "if last is not None:",
         ("tests/test_hilbert.py::"
          "test_reduced_density_is_returned_again_only_for_the_same_state_and_projection",),
     ),
@@ -551,25 +590,39 @@ def main(argv) -> int:
         print(f"unknown rows: {sorted(unknown)}")
         return 2
     repo = pathlib.Path(__file__).resolve().parent.parent
+    workers = max(1, min(os.cpu_count() or 1, len(rows)))
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
-        root = pathlib.Path(tmp)
-        for part in ("src", "tests"):
-            shutil.copytree(repo / part, root / part,
-                            ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+        roots = [pathlib.Path(tmp, str(k)) for k in range(workers)]
+        for root in roots:
+            for part in ("src", "tests"):
+                shutil.copytree(repo / part, root / part,
+                                ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
         start = time.perf_counter()
-        if not _imports_from(root):
+        if not all(_imports_from(root) for root in roots):
             print("the tests would not import haltlab from the copy")
             return 1
+        free = queue.SimpleQueue()
+        for root in roots:
+            free.put(root)
+
+        def check(mutant: Mutant) -> str:
+            root = free.get()
+            try:
+                return _check(root, mutant)
+            finally:
+                free.put(root)
+
         baseline = sorted({test for m in rows for test in m.tests})
-        if _pytest(root, baseline) != 0:
-            print("baseline: a named test fails on the unmutated source")
-            return 1
-        for mutant in rows:
-            problem = _check(root, mutant)
-            failures += bool(problem)
-            print(f"{'FAIL' if problem else 'ok':4}  {mutant.name}"
-                  + (f": {problem}" if problem else ""), flush=True)
+        shares = [baseline[k::workers] for k in range(workers) if baseline[k::workers]]
+        with ThreadPoolExecutor(workers) as pool:
+            if any(pool.map(_pytest, roots, shares)):
+                print("baseline: a named test fails on the unmutated source")
+                return 1
+            for mutant, problem in zip(rows, pool.map(check, rows)):
+                failures += bool(problem)
+                print(f"{'FAIL' if problem else 'ok':4}  {mutant.name}"
+                      + (f": {problem}" if problem else ""), flush=True)
         print(f"{len(rows) - failures} of {len(rows)} rows hold "
               f"in {time.perf_counter() - start:.0f} s")
     return 1 if failures else 0

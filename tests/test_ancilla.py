@@ -42,7 +42,9 @@ EQUAL_AMPS = (INV_SQRT2, INV_SQRT2)
 # -- branch and policy validation -------------------------------------------
 
 def test_branch_orbit_must_cover_pre_halt_steps():
-    with pytest.raises(BranchModelError):
+    with pytest.raises(
+        BranchModelError, match=r"^branch 1: orbit covers 2 steps, needs at least 3$"
+    ):
         BranchSpec(id=1, orbit=("a", "b"), halt_step=3)
 
 
@@ -195,7 +197,7 @@ def test_amplitudes_must_be_normalized():
 def test_duplicated_branches_rejected():
     b1 = _branch(1, "a", 3)
     b2 = BranchSpec(id=2, orbit=b1.orbit, halt_step=3)
-    with pytest.raises(BranchModelError):
+    with pytest.raises(BranchModelError, match=r"^duplicated branch: same orbit and halt data$"):
         run_superposition([b1, b2], EQUAL_AMPS, AncillaPolicy.shared(), t_max=5)
 
 
@@ -356,6 +358,12 @@ def test_monitored_run_marks_unhalted_branches():
     assert set(dist) == {(2, "adone"), (None, "b10")}
 
 
+def test_monitored_run_leaves_out_a_branch_of_amplitude_zero():
+    dist = monitored_run(_pair(2, 4), (1.0, 0.0), AncillaPolicy.shared(), t_max=6)
+    assert all(prob > 0.0 for prob in dist.values())
+    assert dist == {(2, "adone"): 1.0}
+
+
 def test_monitoring_effect_shared_orbit_is_null():
     for t in range(9):
         effect = monitoring_effect(_pair(3, 5), EQUAL_AMPS, AncillaPolicy.shared(), (0, 1), t)
@@ -415,9 +423,9 @@ def test_fixed_point_residual_matches_bound_on_random_draws():
 
 
 def test_fixed_point_validates_arguments():
-    with pytest.raises(BranchModelError):
-        fixed_point_impossibility(1)
-    with pytest.raises(BranchModelError):
+    with pytest.raises(BranchModelError, match=r"^need dimension >= 2$"):
+        fixed_point_impossibility(1, overlap=0.5)
+    with pytest.raises(BranchModelError, match=r"^overlap must lie in \[0, 1\], got 1\.5$"):
         fixed_point_impossibility(4, overlap=1.5)
 
 

@@ -83,19 +83,19 @@ def test_gram_requires_nonempty_list():
 
 
 def _split_pair(label):
-    return label[0], label[1]
+    return label[0], label[1:]
 
 
 def test_reduced_density_product_state_is_pure():
     state = SparseState({("c", "e"): 1.0})
-    rho = reduced_density(state, _split_pair)
+    rho = reduced_density(state)
     assert rho.labels == ("c",)
     assert rho.matrix[0, 0] == pytest.approx(1.0)
 
 
 def test_reduced_density_orthogonal_environments_decohere():
     state = SparseState({("c1", "e1"): INV_SQRT2, ("c2", "e2"): INV_SQRT2})
-    rho = reduced_density(state, _split_pair)
+    rho = reduced_density(state)
     mat = rho.matrix
     assert mat[0, 0] == pytest.approx(0.5, abs=1e-15)
     assert mat[1, 1] == pytest.approx(0.5, abs=1e-15)
@@ -104,36 +104,34 @@ def test_reduced_density_orthogonal_environments_decohere():
 
 def test_reduced_density_shared_environment_keeps_coherence():
     state = SparseState({("c1", "e"): INV_SQRT2, ("c2", "e"): INV_SQRT2})
-    rho = reduced_density(state, _split_pair)
+    rho = reduced_density(state)
     assert rho.entry("c1", "c2") == pytest.approx(0.5, abs=1e-15)
 
 
 def test_reduced_density_identity_projection_gives_projector():
-    state = SparseState({"a": 0.6, "b": 0.8j})
-    rho = reduced_density(state, lambda l: (l, None))
+    state = SparseState({("a",): 0.6, ("b",): 0.8j})
+    rho = reduced_density(state)
     vec = np.array([0.6, 0.8j])
     assert np.max(np.abs(rho.matrix - np.outer(vec, vec.conj()))) < 1e-15
 
 
 def test_reduced_density_rejects_zero_state():
     with pytest.raises(HilbertError):
-        reduced_density(SparseState(), _split_pair)
+        reduced_density(SparseState())
 
 
 def test_reduced_density_trace_matches_squared_norm_unnormalized():
     state = SparseState({("c1", "e1"): 1.5, ("c2", "e2"): -2.0j, ("c1", "e3"): 0.25})
-    rho = reduced_density(state, _split_pair)
+    rho = reduced_density(state)
     assert rho.trace == pytest.approx(state.norm_squared(), abs=1e-12)
 
 
 def test_reduced_density_is_returned_again_only_for_the_same_state_and_projection():
     state = SparseState({("c1", "e1"): INV_SQRT2, ("c2", "e2"): INV_SQRT2})
-    rho = reduced_density(state, _split_pair)
-    assert reduced_density(state, _split_pair) is rho
-    whole = reduced_density(state, lambda label: (label, None))
-    assert whole.labels == (("c1", "e1"), ("c2", "e2"))
+    rho = reduced_density(state)
+    assert reduced_density(state) is rho
     copy = SparseState(state.items())
-    again = reduced_density(copy, _split_pair)
+    again = reduced_density(copy)
     assert again is not rho
     assert again.labels == rho.labels
     assert again.matrix.tobytes() == rho.matrix.tobytes()
@@ -318,7 +316,7 @@ split_states = st.dictionaries(
 @settings(max_examples=300)
 def test_reduced_density_bits_equal_the_loop(state):
     labels, expected = reduced_density_by_loop(state, _split_pair)
-    rho = reduced_density(state, _split_pair)
+    rho = reduced_density(state)
     assert rho.labels == tuple(labels)
     assert rho.matrix.tobytes() == expected.tobytes()
 

@@ -335,6 +335,23 @@ def test_rescue_stops_at_once_when_no_key_column_is_off_unit(monkeypatch):
     assert not result.feasible
 
 
+def test_a_rescued_restart_ends_at_zero_mass_on_a_unitary_table(monkeypatch):
+    # seed 2148's polish stops off unitarity; the rescue redraws the
+    # off-unit key columns, and the restart then ends at mass exactly 0
+    redraw = search._redraw_columns
+    redrawn = []
+
+    def counting_redraw(x, param, rng, flags):
+        redrawn.append(int(flags.sum()))
+        return redraw(x, param, rng, flags)
+
+    monkeypatch.setattr(search, "_redraw_columns", counting_redraw)
+    result = search_max_halting_mass(MachineDims(2, 2, 6), restarts=1, iterations=500, seed=2148)
+    assert sum(redrawn) >= 1
+    assert result.best_mass == 0.0
+    assert result.best_unitarity_deviation <= 1e-15
+
+
 def test_search_validates_arguments():
     dims = MachineDims(2, 2, 6)
     with pytest.raises(MachineError):
