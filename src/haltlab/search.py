@@ -18,11 +18,14 @@ computation is covered by tests.
 Each restart is one call of ``_restart``: L-BFGS phases of growing
 penalty weight, a feasibility polish, then a projection of the final
 table onto the unitary matrices, each L-BFGS run going through one
-helper that logs every iterate into the restart's objective trace.  The
-projection is a polar decomposition of the dense global matrix, followed
-by a refit of the table tensor read off one representative column per
-key.  Where the polar factor is not exactly of local-rule form, the
-leftover is reported as the projection residual.  Because the operator
+helper that hands every iterate to the restart's objective trace.  The
+trace logs the objective value L-BFGS has already computed at the
+iterate, so no iterate is evaluated a second time.  The projection is a
+polar decomposition of the dense global matrix, followed by a refit of
+the table tensor read off one representative column per key.  Where the
+polar factor is not exactly of local-rule form, the leftover is reported
+as the projection residual, its max |.| taken over column blocks so that
+no second D x D array is formed.  Because the operator
 comes from local rules, its nonzero pattern splits into many small
 independent blocks, and most of them repeat along the tape.  The polar
 factor is computed exactly and kept only as its blocks: blocks of one
@@ -168,10 +171,15 @@ def penalty_value_grad(v: np.ndarray, dims: MachineDims) -> Tuple[float, np.ndar
     return pen_same + pen_pair, grad
 
 
+def _mass(v: np.ndarray, param: TableParametrization) -> float:
+    """Halting mass carried by the free slots of the table tensor ``v``."""
+    return float(np.sum(np.abs(v[param.mass_mask]) ** 2))
+
+
 def _objective(x, param, lam, mass_weight):
     v = param.tensor(x)
     pen, pen_grad = penalty_value_grad(v, param.dims)
-    mass = float(np.sum(np.abs(v[param.mass_mask]) ** 2))
+    mass = _mass(v, param)
     grad_conj = lam * pen_grad
     if mass_weight:
         grad_conj = grad_conj - mass_weight * np.where(param.mass_mask, v, 0.0)
@@ -297,7 +305,10 @@ def project_to_unitary_table(
     difference = build_global_matrix(refit)
     for block_rows, block_cols, polar in groups:
         difference[block_rows[:, :, None], block_cols[:, None, :]] -= polar
-    residual = float(np.max(np.abs(difference)))
+    # the max |.| of blocks of 96 contiguous columns (the matrix is
+    # F-ordered): exact, and no D x D array of absolute values is formed
+    peaks = [np.max(np.abs(difference[:, j : j + 96])) for j in range(0, difference.shape[1], 96)]
+    residual = float(np.max(peaks))
     return refit, residual
 
 
@@ -338,7 +349,15 @@ def _select_restart(candidates: Sequence[SearchResult]) -> SearchResult:
 
 
 def _lbfgs(x, param, lam, mass_weight, iterations, callback, ftol, gtol) -> np.ndarray:
-    """L-BFGS on :func:`_objective` from ``x``; ``callback`` sees each iterate."""
+    """L-BFGS on :func:`_objective` from ``x``.
+
+    ``callback(intermediate_result)`` sees each iterate as scipy's
+    ``OptimizeResult(x, fun)`` (scipy passes it only to a callback whose
+    one parameter has that name): ``fun`` is the value of the
+    objective's last evaluation, which L-BFGS-B made at ``x``, and ``x``
+    is the optimizer's working array, to be read before the callback
+    returns.
+    """
     res = scipy.optimize.minimize(
         _objective,
         x,
@@ -355,10 +374,19 @@ def _polish(x: np.ndarray, param: TableParametrization, iterations: int, record)
     """Feasibility polish: L-BFGS on the penalty alone, no mass term.
 
     Grounds the iterate into the unitary-table manifold before the polar
-    projection; ``record`` logs each iterate into the objective trace.
+    projection.  ``record`` takes each iterate's trace value,
+    ``mass - PENALTY_WEIGHTS[-1] * pen``, built from the penalty the
+    optimizer has already evaluated there: its objective
+    ``1.0 * pen - 0.0 * mass`` is ``pen`` bit for bit, so only the mass
+    is computed again.
     """
     final = PENALTY_WEIGHTS[-1]
-    return _lbfgs(x, param, 1.0, 0.0, iterations, lambda xk: record(xk, final), 0.0, 1e-16)
+
+    def log(intermediate_result):
+        mass = _mass(param.tensor(intermediate_result.x), param)
+        record(0.0 - (final * intermediate_result.fun - mass))
+
+    return _lbfgs(x, param, 1.0, 0.0, iterations, log, 0.0, 1e-16)
 
 
 def _certify(x: np.ndarray, param: TableParametrization, restart: int) -> SearchResult:
@@ -378,20 +406,28 @@ def _certify(x: np.ndarray, param: TableParametrization, restart: int) -> Search
 def _restart(param: TableParametrization, iterations: int, seed: int, restart: int) -> SearchResult:
     """One restart of :func:`search_max_halting_mass`, drawing from
     ``default_rng([seed, restart])``: penalty phases, polish, projection and
-    rescue rounds, with the objective trace of every L-BFGS iterate."""
+    rescue rounds, with the objective trace of every L-BFGS iterate.
+
+    The trace value of an iterate is mass - lam * penalty, ``0.0 -`` the
+    objective, which keeps +0.0 where the two cancel.  The start's value
+    is evaluated; a phase minimizes that very objective, so each of its
+    iterates logs the value L-BFGS reports for it, and the polish builds
+    its value from the penalty L-BFGS reports (see :func:`_polish`)."""
     per_phase = max(1, iterations // (len(PENALTY_WEIGHTS) + 1))
     polish_iters = max(1, iterations - len(PENALTY_WEIGHTS) * per_phase)
     rng = np.random.default_rng([seed, restart])
     x = param.random_start(rng)
     trace: List[Tuple[int, float]] = []
 
-    def record(xk, lam):
-        # mass - lam * penalty; 0.0 - keeps +0.0 where the two cancel
-        trace.append((len(trace), 0.0 - _objective(xk, param, lam, 1.0)[0]))
+    def record(value):
+        trace.append((len(trace), value))
 
-    record(x, PENALTY_WEIGHTS[0])
+    def log(intermediate_result):
+        record(0.0 - intermediate_result.fun)
+
+    record(0.0 - _objective(x, param, PENALTY_WEIGHTS[0], 1.0)[0])
     for lam in PENALTY_WEIGHTS:
-        x = _lbfgs(x, param, lam, 1.0, per_phase, lambda xk, lam=lam: record(xk, lam), 1e-18, 1e-14)
+        x = _lbfgs(x, param, lam, 1.0, per_phase, log, 1e-18, 1e-14)
         norms = np.linalg.norm(param.tensor(x).reshape(len(param.mask), -1), axis=1)
         x = _redraw_columns(x, param, rng, ~(norms >= 0.5))  # dead or NaN
     x = _polish(x, param, polish_iters, record)

@@ -167,6 +167,21 @@ MUTANTS = (
         "mult_pair = dims.N * dims.S ** (dims.N - 1)",
         ("tests/test_search.py::test_local_penalty_equals_global_frobenius",),
     ),
+    # trace values taken from the optimizer's own objective
+    Mutant(
+        "polish-trace-drops-the-final-weight", "search.py",
+        "record(0.0 - (final * intermediate_result.fun - mass))",
+        "record(0.0 - (intermediate_result.fun - mass))",
+        ("tests/test_search.py::test_trace_rows_are_the_objective_at_each_iterate[compliant]",
+         "tests/test_search.py::test_trace_rows_are_the_objective_at_each_iterate[no_ozawa]"),
+    ),
+    Mutant(
+        "polish-trace-drops-the-mass", "search.py",
+        "record(0.0 - (final * intermediate_result.fun - mass))",
+        "record(0.0 - final * intermediate_result.fun)",
+        ("tests/test_search.py::test_trace_rows_are_the_objective_at_each_iterate[compliant]",
+         "tests/test_search.py::test_trace_rows_are_the_objective_at_each_iterate[no_ozawa]"),
+    ),
     Mutant(
         "polar-blocks-sorted-inverse", "search.py",
         "(left @ right)[inverse.reshape(-1)]",
@@ -184,6 +199,13 @@ MUTANTS = (
         "records_agree = ti == tj or (ti > t and tj > t)",
         "records_agree = ti == tj",
         ("tests/test_ancilla.py::test_monitoring_effect_shared_orbit_is_null",),
+    ),
+    Mutant(
+        "records-agree-when-either-branch-runs", "ancilla.py",
+        "records_agree = ti == tj or (ti > t and tj > t)",
+        "records_agree = ti == tj or (ti > t or tj > t)",
+        ("tests/test_ancilla.py::"
+         "test_monitoring_effect_drops_a_cross_term_when_only_one_branch_has_halted",),
     ),
     Mutant(
         "pruned-branch-read-as-1e-14", "ancilla.py",

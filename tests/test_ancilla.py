@@ -388,6 +388,26 @@ def test_monitoring_effect_equal_halt_times_is_null():
         assert effect.delta == 0.0
 
 
+def test_monitoring_effect_drops_a_cross_term_when_only_one_branch_has_halted():
+    # i still runs at t = 2 with label "a"; j and k halted at step 1 with
+    # labels "b" and "a", so their records match and rho[a, b] = 1/3
+    # comes from k, whose label collides with i's.
+    branches = [
+        BranchSpec(id=0, orbit=("i0", "i1", "a", "i.halted"), halt_step=3),
+        BranchSpec(id=1, orbit=("j0", "b"), halt_step=1),
+        BranchSpec(id=2, orbit=("k0", "a"), halt_step=1),
+    ]
+    amps = (complex(1.0 / math.sqrt(3.0)),) * 3
+    for t in range(5):
+        effect = monitoring_effect(branches, amps, AncillaPolicy.shared(), (0, 1), t)
+        if t == 2:
+            assert effect.unmonitored_expectation == pytest.approx(5.0 / 6.0, abs=1e-12)
+            assert effect.monitored_expectation == pytest.approx(0.5, abs=1e-12)
+            assert effect.delta == pytest.approx(1.0 / 3.0, abs=1e-12)
+        else:
+            assert effect.delta <= 1e-12
+
+
 def test_monitoring_effect_rejects_degenerate_projector():
     b1 = BranchSpec(id=1, orbit=("a", "x"), halt_step=1, post_halt_label="x")
     b2 = BranchSpec(id=2, orbit=("b", "x"), halt_step=2, post_halt_label="y")

@@ -1,5 +1,6 @@
 """Penalty kernel, gradient, unitary projection and the mass search."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,7 @@ from haltlab.qtm import (
 )
 from haltlab.search import (
     FEASIBLE_DEVIATION,
+    PENALTY_WEIGHTS,
     SearchResult,
     TableParametrization,
     penalty_value_grad,
@@ -67,7 +69,7 @@ def test_penalty_zero_exactly_on_unitary_tables():
 def test_penalty_requires_five_cells():
     dims = MachineDims(2, 2, 4)
     param = TableParametrization(dims, True)
-    with pytest.raises(MachineError):
+    with pytest.raises(MachineError, match="at least 5 tape cells"):
         penalty_value_grad(param.tensor(param.random_start(np.random.default_rng(0))), dims)
 
 
@@ -181,7 +183,7 @@ def _search_iterates():
     for compliant in (True, False):
         param = TableParametrization(dims, compliant)
         x = param.random_start(np.random.default_rng([5, compliant]))
-        polished = _polish(x, param, 30, lambda xk, lam: None)
+        polished = _polish(x, param, 30, lambda value: None)
         mode = "compliant" if compliant else "no_ozawa"
         tables[f"{mode}_start"] = (param.table(x), compliant)
         tables[f"{mode}_polished"] = (param.table(polished), compliant)
@@ -270,6 +272,28 @@ def test_projection_equals_the_dense_polar_route(case):
 
 
 @pytest.mark.parametrize("compliant", [True, False])
+def test_projection_peaks_below_one_and_a_quarter_dense_matrices(compliant):
+    # the refit's dense global matrix is 16 * D^2 bytes; the residual is
+    # taken by column blocks, so no second D x D array is formed
+    dims = MachineDims(2, 2, 6)
+    param = TableParametrization(dims, compliant)
+    table = param.table(param.random_start(np.random.default_rng(5)))
+    project_to_unitary_table(table, compliant)  # the operator pattern is cached
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        project_to_unitary_table(table, compliant)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 1.25 * 16 * dims.dim**2
+
+
+@pytest.mark.parametrize("compliant", [True, False])
 def test_redrawn_columns_are_unit_and_orthogonal_to_the_kept_ones(compliant):
     param, x = _perturbed_start(MachineDims(2, 2, 6), compliant, seed=17)
     assert _redraw_columns(x, param, None, np.zeros(len(param.mask), dtype=bool)) is x
@@ -352,13 +376,48 @@ def test_a_rescued_restart_ends_at_zero_mass_on_a_unitary_table(monkeypatch):
     assert result.best_unitarity_deviation <= 1e-15
 
 
+@pytest.mark.parametrize(
+    "seed, compliant",
+    [(3, True), (0, False), (2148, True)],
+    ids=["compliant", "no_ozawa", "rescued"],
+)
+def test_trace_rows_are_the_objective_at_each_iterate(monkeypatch, seed, compliant):
+    # each row must be mass - lam * penalty at its iterate, lam the phase's
+    # weight and the final weight for every polish, rescue polishes included
+    lbfgs = search._lbfgs
+    iterates, polishes = [], []
+
+    def keeping_lbfgs(x, param, lam, mass_weight, iterations, callback, ftol, gtol):
+        polishes.append(not mass_weight)
+
+        def keep(intermediate_result):
+            iterates.append((intermediate_result.x.copy(), lam, mass_weight))
+            callback(intermediate_result)
+
+        return lbfgs(x, param, lam, mass_weight, iterations, keep, ftol, gtol)
+
+    monkeypatch.setattr(search, "_lbfgs", keeping_lbfgs)
+    dims = MachineDims(2, 2, 6)
+    result = search_max_halting_mass(dims, 1, 500, seed, ozawa_compliant=compliant)
+    param = TableParametrization(dims, compliant)
+    start = param.random_start(np.random.default_rng([seed, 0]))
+    expected = [0.0 - _objective(start, param, PENALTY_WEIGHTS[0], 1.0)[0]]
+    for x, lam, mass_weight in iterates:
+        weight = lam if mass_weight else PENALTY_WEIGHTS[-1]
+        expected.append(0.0 - _objective(x, param, weight, 1.0)[0])
+    assert [it for it, _ in result.trace] == list(range(len(expected)))
+    assert [value.hex() for _, value in result.trace] == [value.hex() for value in expected]
+    # six phases and one polish, plus the rescue polishes of seed 2148
+    assert sum(polishes) > 1 if seed == 2148 else polishes == [False] * 6 + [True]
+
+
 def test_search_validates_arguments():
     dims = MachineDims(2, 2, 6)
-    with pytest.raises(MachineError):
+    with pytest.raises(MachineError, match="restarts must be >= 1"):
         search_max_halting_mass(dims, restarts=0, iterations=10, seed=0)
-    with pytest.raises(MachineError):
+    with pytest.raises(MachineError, match="iterations must be >= 1"):
         search_max_halting_mass(dims, restarts=1, iterations=0, seed=0)
-    with pytest.raises(MachineError):
+    with pytest.raises(MachineError, match="exceeds dense cap"):
         search_max_halting_mass(MachineDims(2, 2, 8), restarts=1, iterations=10, seed=0)
 
 
